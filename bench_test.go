@@ -81,7 +81,8 @@ func BenchmarkStudyGeneration(b *testing.B) {
 // seeds, same scenario, but every probe routed into the per-epoch sink
 // of its timestamp. The streaming_over_batch_generation ratio in the
 // bench report divides this benchmark's records/sec by
-// BenchmarkStudyGeneration's.
+// BenchmarkStudyGeneration's: 8-epoch generation against Run, which
+// is 1-epoch generation plus its single assembly.
 func BenchmarkStreamGeneration(b *testing.B) {
 	records := 0
 	for i := 0; i < b.N; i++ {

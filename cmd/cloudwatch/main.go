@@ -91,8 +91,8 @@ type sweepFlags struct {
 // returning errors that enumerate the valid values.
 func (f sweepFlags) sweepRequest() (stream.SweepRequest, error) {
 	req := stream.SweepRequest{KMin: f.kMin, KMax: f.kMax}
-	if f.epochs < 1 {
-		return req, fmt.Errorf("-epochs %d: need at least 1 epoch", f.epochs)
+	if f.epochs < 1 || f.epochs > core.MaxEpochs {
+		return req, fmt.Errorf("-epochs %d: need 1 <= epochs <= %d", f.epochs, core.MaxEpochs)
 	}
 	if f.kMin < 1 || f.kMax < f.kMin {
 		return req, fmt.Errorf("-sweep-kmin %d -sweep-kmax %d: need 1 <= kmin <= kmax", f.kMin, f.kMax)
@@ -193,7 +193,7 @@ func main() {
 		version    = flag.Bool("version", false, "print the build version and exit")
 		sf         sweepFlags
 	)
-	flag.IntVar(&sf.epochs, "epochs", stream.DefaultEpochs, "time epochs the study week is partitioned into (sweep/serve modes)")
+	flag.IntVar(&sf.epochs, "epochs", stream.DefaultEpochs, fmt.Sprintf("time epochs the study week is partitioned into, 1..%d (sweep/serve modes)", core.MaxEpochs))
 	flag.StringVar(&sf.tables, "sweep-tables", "table2,table5", "comma-separated §3.3 tables to sweep: "+strings.Join(core.SweepTables(), ", "))
 	flag.IntVar(&sf.kMin, "sweep-kmin", 1, "smallest top-K width of the sweep")
 	flag.IntVar(&sf.kMax, "sweep-kmax", 10, "largest top-K width of the sweep")

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -113,10 +114,17 @@ func TestSweepFlagValidation(t *testing.T) {
 	if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), "1..8") {
 		t.Errorf("out-of-range prefix error should name the range, got %v", err)
 	}
-	bad = good
-	bad.epochs = 0
-	if _, err := bad.sweepRequest(); err == nil {
-		t.Error("zero epochs accepted")
+	for _, n := range []int{0, core.MaxEpochs + 1} {
+		bad = good
+		bad.epochs = n
+		if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("<= %d", core.MaxEpochs)) {
+			t.Errorf("-epochs %d: error should name the valid range, got %v", n, err)
+		}
+	}
+	max := good
+	max.epochs = core.MaxEpochs
+	if _, err := max.sweepRequest(); err != nil {
+		t.Errorf("-epochs %d rejected: %v", core.MaxEpochs, err)
 	}
 	explicit := good
 	explicit.prefixes = "2, 4"

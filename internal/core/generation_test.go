@@ -25,11 +25,12 @@ type refRecord struct {
 
 // refGenerate reproduces the pre-columnar serial pipeline
 // independently of the production code: actors run one after another,
-// each probe goes through the collector decision table reimplemented
-// inline (no interner, fresh buffers), and the §3.2 verdict memo is
-// payload-keyed with first-occurrence-wins semantics — exactly what
-// the historical serial shard computed. The columnar pipeline at any
-// worker count must deep-equal this.
+// probes at or past cfg.WindowSec (when non-zero) are dropped, each
+// remaining probe goes through the collector decision table
+// reimplemented inline (no interner, fresh buffers), and the §3.2
+// verdict memo is payload-keyed with first-occurrence-wins semantics.
+// It is the oracle for Run: the columnar pipeline at any worker count
+// and any window must deep-equal it.
 func refGenerate(t *testing.T, cfg Config) []refRecord {
 	t.Helper()
 	if cfg.Year == 0 {
@@ -53,7 +54,11 @@ func refGenerate(t *testing.T, cfg Config) []refRecord {
 	memo := map[string]bool{}
 	var out []refRecord
 
+	window := time.Duration(cfg.WindowSec) * time.Second
 	dispatch := func(p *netsim.Probe) {
+		if window > 0 && p.T.Sub(netsim.StudyStart) >= window {
+			return
+		}
 		if u.InTelescope(p.Dst) {
 			return
 		}
@@ -119,69 +124,83 @@ func refGenerate(t *testing.T, cfg Config) []refRecord {
 	return out
 }
 
-// TestGenerationEquivalence deep-equals the columnar pipeline against
-// the independent reference generator: the full record sequence and
-// every derived column, across seeds 42/7 × years 2020–2022 × Workers
-// 1/4/GOMAXPROCS.
+// TestGenerationEquivalence deep-equals Run against the independent
+// reference generator: the full record sequence and every derived
+// column, across seeds 42/7 × years 2020–2022 × the full week and one
+// truncation window × Workers 1/4/GOMAXPROCS. The windows sit on
+// epoch bounds, so the truncated runs are also the references the
+// streaming snapshots are checked against.
 func TestGenerationEquivalence(t *testing.T) {
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
+	eb := netsim.NewEpochs(4)
+	k := 0
 	for _, seed := range []int64{42, 7} {
 		for _, year := range []int{2020, 2021, 2022} {
-			cfg := testConfig(seed, year)
-			ref := refGenerate(t, cfg)
-			if len(ref) == 0 {
-				t.Fatalf("seed %d year %d: reference generated no records", seed, year)
-			}
-			for _, workers := range workerCounts {
-				cfg := cfg
-				cfg.Workers = workers
-				s, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
+			k++
+			for _, window := range []int32{0, eb.Bound(1 + k%3)} {
+				cfg := testConfig(seed, year)
+				cfg.WindowSec = window
+				ref := refGenerate(t, cfg)
+				if len(ref) == 0 {
+					t.Fatalf("seed %d year %d window %d: reference generated no records", seed, year, window)
 				}
-				label := fmt.Sprintf("seed=%d year=%d workers=%d", seed, year, workers)
-				if s.NumRecords() != len(ref) {
-					t.Fatalf("%s: %d records, reference has %d", label, s.NumRecords(), len(ref))
-				}
-				for i, want := range ref {
-					got := s.RecordAt(i)
-					if got.Vantage != want.rec.Vantage || !got.T.Equal(want.rec.T) ||
-						got.Src != want.rec.Src || got.ASN != want.rec.ASN ||
-						got.Port != want.rec.Port || got.Transport != want.rec.Transport ||
-						got.Handshake != want.rec.Handshake {
-						t.Fatalf("%s: record %d scalar fields differ:\n got %+v\nwant %+v", label, i, got, want.rec)
+				for _, workers := range workerCounts {
+					cfg := cfg
+					cfg.Workers = workers
+					s, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if !bytes.Equal(got.Payload, want.rec.Payload) {
-						t.Fatalf("%s: record %d payload differs", label, i)
-					}
-					if len(got.Creds) != len(want.rec.Creds) {
-						t.Fatalf("%s: record %d cred count differs", label, i)
-					}
-					for c := range got.Creds {
-						if got.Creds[c] != want.rec.Creds[c] {
-							t.Fatalf("%s: record %d cred %d differs", label, i, c)
-						}
-					}
-					// Derived columns, all materialized by Run itself.
-					if s.mal[i] != want.mal {
-						t.Fatalf("%s: record %d mal column = %v, want %v", label, i, s.mal[i], want.mal)
-					}
-					if got, wantH := s.blk.Hour(i), netsim.HourOf(want.rec.T); got != wantH {
-						t.Fatalf("%s: record %d hour = %d, want %d", label, i, got, wantH)
-					}
-					if len(want.rec.Payload) > 0 {
-						if got, wantK := s.recPayKey(i), payloadKey(want.rec.Payload); got != wantK {
-							t.Fatalf("%s: record %d payKey = %q, want %q", label, i, got, wantK)
-						}
-						if got, wantP := s.recProto(i), fingerprint.Identify(want.rec.Payload); got != wantP {
-							t.Fatalf("%s: record %d proto = %v, want %v", label, i, got, wantP)
-						}
-					} else if s.recPayKey(i) != "" || s.recProto(i) != fingerprint.Unknown {
-						t.Fatalf("%s: record %d payloadless but payKey=%q proto=%v",
-							label, i, s.recPayKey(i), s.recProto(i))
-					}
+					checkAgainstReference(t, s, ref, fmt.Sprintf("seed=%d year=%d window=%d workers=%d", seed, year, window, workers))
 				}
 			}
+		}
+	}
+}
+
+// checkAgainstReference deep-equals a study's records and derived
+// columns against the reference generator's output.
+func checkAgainstReference(t *testing.T, s *Study, ref []refRecord, label string) {
+	t.Helper()
+	if s.NumRecords() != len(ref) {
+		t.Fatalf("%s: %d records, reference has %d", label, s.NumRecords(), len(ref))
+	}
+	for i, want := range ref {
+		got := recordAt(s, i)
+		if got.Vantage != want.rec.Vantage || !got.T.Equal(want.rec.T) ||
+			got.Src != want.rec.Src || got.ASN != want.rec.ASN ||
+			got.Port != want.rec.Port || got.Transport != want.rec.Transport ||
+			got.Handshake != want.rec.Handshake {
+			t.Fatalf("%s: record %d scalar fields differ:\n got %+v\nwant %+v", label, i, got, want.rec)
+		}
+		if !bytes.Equal(got.Payload, want.rec.Payload) {
+			t.Fatalf("%s: record %d payload differs", label, i)
+		}
+		if len(got.Creds) != len(want.rec.Creds) {
+			t.Fatalf("%s: record %d cred count differs", label, i)
+		}
+		for c := range got.Creds {
+			if got.Creds[c] != want.rec.Creds[c] {
+				t.Fatalf("%s: record %d cred %d differs", label, i, c)
+			}
+		}
+		// Derived columns, all materialized by Run itself.
+		if s.mal[i] != want.mal {
+			t.Fatalf("%s: record %d mal column = %v, want %v", label, i, s.mal[i], want.mal)
+		}
+		if got, wantH := s.blk.Hour(i), netsim.HourOf(want.rec.T); got != wantH {
+			t.Fatalf("%s: record %d hour = %d, want %d", label, i, got, wantH)
+		}
+		if len(want.rec.Payload) > 0 {
+			if got, wantK := s.recPayKey(i), payloadKey(want.rec.Payload); got != wantK {
+				t.Fatalf("%s: record %d payKey = %q, want %q", label, i, got, wantK)
+			}
+			if got, wantP := s.recProto(i), fingerprint.Identify(want.rec.Payload); got != wantP {
+				t.Fatalf("%s: record %d proto = %v, want %v", label, i, got, wantP)
+			}
+		} else if s.recPayKey(i) != "" || s.recProto(i) != fingerprint.Unknown {
+			t.Fatalf("%s: record %d payloadless but payKey=%q proto=%v",
+				label, i, s.recPayKey(i), s.recProto(i))
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/ids"
@@ -12,18 +14,17 @@ import (
 	"cloudwatch/internal/wire"
 )
 
-// This file is the incremental side of snapshot assembly. The
-// from-scratch assembler (EpochSet.Snapshot) re-merges every ingested
-// epoch — a k-way re-merge of every actor's runs plus a full verdict
-// and derived-column rebuild — so materializing every prefix of an
-// n-epoch stream costs O(n²) record traffic. Incremental assembly
-// *adopts* the previous prefix's snapshot instead: ingesting epoch p+1
-// appends the new epoch's per-actor column segments actor-major onto
-// the prefix-p RecordBlock, union-merges only the new epoch's
-// telescope and GreyNoise shards onto clones of the previous
-// collectors, extends the §3.2 verdict anchor scan only over the new
-// epoch's records, and scatters only the new records into the derived
-// per-vantage lists — O(epoch) per ingest, flat in the prefix length.
+// This file is the study's one assembler. Incremental turns an
+// EpochSet into its chain of prefix snapshots: ingesting epoch p+1
+// *adopts* the prefix-p snapshot, appends the new epoch's per-actor
+// column segments actor-major onto its RecordBlock, union-merges only
+// the new epoch's telescope and GreyNoise shards onto clones of the
+// previous collectors, extends the §3.2 verdict anchor scan only over
+// the new epoch's records, and scatters only the new records into the
+// derived per-vantage lists — O(epoch) per ingest, flat in the prefix
+// length. A batch Run is the one-epoch chain, and EpochSet.Snapshot
+// replays a fresh chain up to the requested prefix, so every *Study
+// the package hands out comes out of Advance.
 //
 // Sharing contract: consecutive snapshots in the chain share column
 // backing arrays (the new snapshot's columns are appends onto the
@@ -34,22 +35,22 @@ import (
 // their own lengths. Published snapshots are never mutated.
 //
 // Correctness: a snapshot's rendered analyses must stay byte-identical
-// to a batch Run truncated at the prefix bound. Record order only
-// reaches rendered output through the §3.2 verdict anchor — every
-// other consumer (views, sets, counters, sorted series) is
-// order-independent — so the assembler maintains the *canonical*
-// anchor per payload: the minimal (actor, emission-seq) credential-
-// free occurrence across the assembled epochs, exactly the first
-// occurrence a batch run's actor-major record order produces. A new
-// epoch can move an anchor backward (an earlier actor first emits the
-// payload only in a later epoch); if the moved anchor changes the
-// payload's (transport, port) the verdict is re-judged, and in the
-// rare case the verdict actually flips the assembler repairs exactly
-// the invalidated state: the flipped payloads' entries in a private
-// copy of the mal column, and the sources whose exploited status the
-// flips granted or withdrew (repairFlips). The previous snapshot is
-// untouched either way — its window's canonical anchors are the
-// pre-move ones, so its published verdicts stay correct.
+// to a Run truncated at the prefix bound. Record order only reaches
+// rendered output through the §3.2 verdict anchor — every other
+// consumer (views, sets, counters, sorted series) is order-independent
+// — so the assembler maintains the *canonical* anchor per payload: the
+// minimal (actor, emission-seq) credential-free occurrence across the
+// assembled epochs, exactly the first occurrence in the actor-major
+// record order of a one-epoch chain. A new epoch can move an anchor
+// backward (an earlier actor first emits the payload only in a later
+// epoch); if the moved anchor changes the payload's (transport, port)
+// the verdict is re-judged, and in the rare case the verdict actually
+// flips the assembler repairs exactly the invalidated state: the
+// flipped payloads' entries in a private copy of the mal column, and
+// the sources whose exploited status the flips granted or withdrew
+// (repairFlips). The previous snapshot is untouched either way — its
+// window's canonical anchors are the pre-move ones, so its published
+// verdicts stay correct.
 
 // Incremental assembles the chain of prefix snapshots of one EpochSet
 // in O(new epoch) per step. Not safe for concurrent use; the streaming
@@ -58,14 +59,15 @@ import (
 // Advance calls.
 type Incremental struct {
 	es     *EpochSet
+	upto   int    // epochs the chain assembles before it is complete
 	prefix int    // epochs assembled so far
 	tip    *Study // prefix-`prefix` snapshot (nil before the first Advance)
 
-	// Full-week totals, for one-time preallocation so chain appends
-	// stay in place.
-	total     int     // records across all epochs
-	credTotal int     // credential lists across all epochs
-	vantCount []int32 // per-vantage record counts across all epochs
+	// Totals over the first upto epochs, for one-time preallocation so
+	// chain appends stay in place.
+	total     int     // records
+	credTotal int     // credential lists
+	vantCount []int32 // per-vantage record counts
 
 	// Canonical §3.2 anchor state, indexed by netsim.PayloadID: the
 	// minimal (actor, seq) credential-free occurrence over the
@@ -81,17 +83,40 @@ type Incremental struct {
 }
 
 // Incremental returns an assembler that materializes this epoch set's
-// prefix snapshots one epoch at a time. The totals pass below is one
-// scan of the generated columns; everything per-Advance is sized by
-// the new epoch alone.
-func (es *EpochSet) Incremental() *Incremental {
+// prefix snapshots one epoch at a time.
+func (es *EpochSet) Incremental() *Incremental { return es.newIncremental(es.eb.NumEpochs()) }
+
+// Snapshot returns the study of the first `prefix` epochs
+// (1 ≤ prefix ≤ NumEpochs()) by replaying a fresh assembly chain up to
+// it — the snapshot the streaming engine's chain published at that
+// prefix, byte-identical in every rendered analysis — with columns
+// sized to the first prefix epochs alone. Replaying never mutates the
+// EpochSet, so snapshots may be assembled concurrently.
+func (es *EpochSet) Snapshot(prefix int) (*Study, error) {
+	if prefix < 1 || prefix > es.eb.NumEpochs() {
+		return nil, fmt.Errorf("core: snapshot prefix %d out of range [1, %d]", prefix, es.eb.NumEpochs())
+	}
+	inc := es.newIncremental(prefix)
+	for inc.prefix < prefix {
+		if _, err := inc.Advance(); err != nil {
+			return nil, err
+		}
+	}
+	return inc.tip, nil
+}
+
+// newIncremental returns an assembler for the first upto epochs. The
+// totals pass below is one scan of those epochs' generated columns;
+// everything per-Advance is sized by the new epoch alone.
+func (es *EpochSet) newIncremental(upto int) *Incremental {
 	inc := &Incremental{
 		es:        es,
+		upto:      upto,
 		payCount:  netsim.PayloadCount(),
 		vantCount: make([]int32, len(es.u.Targets())),
 	}
 	for _, sinks := range es.sinks {
-		for _, sink := range sinks {
+		for _, sink := range sinks[:upto] {
 			inc.total += sink.blk.Len()
 			inc.credTotal += len(sink.blk.CredLists)
 			for _, vi := range sink.blk.Vantage {
@@ -121,12 +146,12 @@ func (inc *Incremental) Tip() *Study { return inc.tip }
 func (inc *Incremental) Repairs() int { return inc.repairs }
 
 // Advance ingests the next epoch and returns its prefix snapshot,
-// byte-identical in every rendered analysis to a batch Run truncated
-// at the new prefix's bound. It errors once every epoch is assembled.
+// byte-identical in every rendered analysis to a Run truncated at the
+// new prefix's bound. It errors once every epoch is assembled.
 func (inc *Incremental) Advance() (*Study, error) {
 	es := inc.es
-	if inc.prefix >= es.eb.NumEpochs() {
-		return nil, fmt.Errorf("core: all %d epochs already assembled", es.eb.NumEpochs())
+	if inc.prefix >= inc.upto {
+		return nil, fmt.Errorf("core: all %d epochs already assembled", inc.upto)
 	}
 	sp := obs.StartStage(obs.StageIncrementalAssembly)
 	defer sp.End()
@@ -146,9 +171,15 @@ func (inc *Incremental) Advance() (*Study, error) {
 		IDS:    ids.DefaultEngine(),
 	}
 
+	// A chain whose whole material is one sink — one worker, one epoch
+	// — adopts that sink's block instead of copying it: with a single
+	// worker the actors ran in population order, so the block already
+	// is the canonical actor-major record order.
+	adopt := inc.tip == nil && inc.upto == 1 && len(es.sinks) == 1
+
 	if prev := inc.tip; prev == nil {
-		// Chain start: empty collectors and full-week preallocated
-		// columns, so every later append extends in place.
+		// Chain start: empty collectors and columns preallocated for
+		// the whole chain, so every later append extends in place.
 		s.Tel = telescope.New(cfg.TelescopeWatch...)
 		s.GN = greynoise.NewService()
 		for _, actor := range es.actors {
@@ -156,8 +187,13 @@ func (inc *Incremental) Advance() (*Study, error) {
 				s.GN.VetASN(actor.AS.ASN)
 			}
 		}
-		s.blk.Grow(inc.total)
-		s.blk.CredLists = make([][]netsim.Credential, 0, inc.credTotal)
+		if adopt {
+			s.blk = es.sinks[0][0].blk
+			s.blk.UseArena(nil)
+		} else {
+			s.blk.Grow(inc.total)
+			s.blk.CredLists = make([][]netsim.Credential, 0, inc.credTotal)
+		}
 		s.mal = make([]bool, 0, inc.total)
 		s.byVantage = make([][]int32, len(inc.vantCount))
 		for vi, n := range inc.vantCount {
@@ -190,27 +226,31 @@ func (inc *Incremental) Advance() (*Study, error) {
 	}
 
 	// Union-merge only the new epoch's collector shards and lay its
-	// credential lists into the arena (per-sink index rebasing, as the
-	// from-scratch merge does).
+	// credential lists into the arena (each sink's record columns
+	// rebase their arena indexes by its offset).
 	credBase := make(map[*epochSink]int32, len(es.sinks))
 	for _, sinks := range es.sinks {
 		sink := sinks[e]
 		s.Tel.Merge(sink.tel)
 		s.GN.MergeDelta(sink.gn)
-		credBase[sink] = int32(len(s.blk.CredLists))
-		s.blk.CredLists = append(s.blk.CredLists, sink.blk.CredLists...)
+		if !adopt {
+			credBase[sink] = int32(len(s.blk.CredLists))
+			s.blk.CredLists = append(s.blk.CredLists, sink.blk.CredLists...)
+		}
 	}
 
 	// Append the new epoch's per-actor column segments actor-major. An
 	// actor has exactly one run inside one epoch (its records landed in
-	// its worker's epoch sink in emission order), so no k-way merge is
-	// needed — the seq merge of the from-scratch path degenerates to a
-	// single range append per actor.
-	base := s.blk.Len()
-	for i := range es.runs {
-		run := &es.runs[i]
-		if lo, hi := run.lo[e], run.hi[e]; hi > lo {
-			s.blk.AppendRange(&run.sinks[e].blk, int(lo), int(hi), credBase[run.sinks[e]])
+	// its worker's epoch sink in emission order), so each actor is a
+	// single range append.
+	base := 0
+	if !adopt {
+		base = s.blk.Len()
+		for i := range es.runs {
+			run := &es.runs[i]
+			if lo, hi := run.lo[e], run.hi[e]; hi > lo {
+				s.blk.AppendRange(&run.sinks[e].blk, int(lo), int(hi), credBase[run.sinks[e]])
+			}
 		}
 	}
 	n := s.blk.Len()
@@ -219,7 +259,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 	// visits records in ascending (actor, seq) order, so a payload's
 	// first credential-free occurrence this epoch is the minimal one;
 	// comparing it against the carried anchor keeps the canonical
-	// (batch actor-major) anchor exact across epochs.
+	// (one-epoch actor-major) anchor exact across epochs.
 	var newPays []netsim.PayloadID // first anchored this epoch
 	var moved []netsim.PayloadID   // anchor moved to a different (transport, port)
 	for i := range es.runs {
@@ -291,8 +331,9 @@ func (inc *Incremental) Advance() (*Study, error) {
 	}
 
 	// Fill the verdict column and exploit set for the appended records,
-	// in parallel chunks with per-chunk GreyNoise deltas (exactly
-	// buildVerdicts' fill, restricted to the new epoch).
+	// in parallel chunks with per-chunk GreyNoise deltas (set unions
+	// commute). Credential records are malicious by definition;
+	// payloadless records are benign.
 	s.mal = append(s.mal, make([]bool, n-base)...)
 	added := n - base
 	chunks := (added + verdictChunk - 1) / verdictChunk
@@ -385,4 +426,42 @@ func (inc *Incremental) repairFlips(s *Study, flipped []netsim.PayloadID, base i
 	for src := range lost {
 		s.GN.RemoveExploit(src)
 	}
+}
+
+// verdictChunk is the number of records per parallel verdict-fill
+// chunk: large enough to amortize a chunk's GreyNoise delta, small
+// enough to load-balance.
+const verdictChunk = 65536
+
+// parallelEach runs fn(i) for every i in [0, n) across up to
+// GOMAXPROCS goroutines and waits for completion. fn must be safe to
+// call concurrently for distinct i. Used to fan out verdict judging
+// and filling here and view and family building on the read side.
+func parallelEach(n int, fn func(int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,13 +7,14 @@ import (
 	"cloudwatch/internal/netsim"
 )
 
-// This file finalizes the study's derived columns. The per-record
-// facts (verdict, study seconds, interned payload and vantage ids)
-// are produced by shard.dispatch itself; what remains at merge time is
-// per-*payload* derivation — the normalized payload key and the LZR
-// protocol fingerprint, computed once per interned payload — plus the
-// per-vantage record lists. Both are assembled before Run returns;
-// nothing rescans the record columns afterwards.
+// This file holds the study's per-payload derived columns and the
+// column readers the analyses share. The per-record facts (study
+// seconds, interned payload and vantage ids) are produced by the
+// generator's dispatch; the assembler adds the verdict column, the
+// per-vantage record lists, and a snapshot of the per-*payload*
+// derivations below — the normalized payload key and the LZR protocol
+// fingerprint, computed once per interned payload. Nothing rescans
+// the record columns after assembly.
 
 // payFacts is the process-wide per-payload derivation cache: the
 // payloadKey and fingerprint.Identify of every interned payload,
@@ -44,28 +45,6 @@ func payFactsSnapshot(count int) ([]string, []fingerprint.Protocol) {
 		payFacts.proto = append(payFacts.proto, fingerprint.Identify(b))
 	}
 	return payFacts.key[:count], payFacts.proto[:count]
-}
-
-// buildDerived completes the study's derived columns at the end of the
-// pipeline merge: the per-payload key/fingerprint snapshot and the
-// per-vantage record lists (exact-sized, two passes — the columnar
-// replacement of the old byVantage string-keyed map).
-func (s *Study) buildDerived(payCount int) {
-	s.payKey, s.payProto = payFactsSnapshot(payCount)
-
-	counts := make([]int32, len(s.U.Targets()))
-	for _, vi := range s.blk.Vantage {
-		counts[vi]++
-	}
-	s.byVantage = make([][]int32, len(counts))
-	for vi, n := range counts {
-		if n > 0 {
-			s.byVantage[vi] = make([]int32, 0, n)
-		}
-	}
-	for ri, vi := range s.blk.Vantage {
-		s.byVantage[vi] = append(s.byVantage[vi], int32(ri))
-	}
 }
 
 // recPayKey returns the normalized payload key of record ri ("" for

@@ -31,10 +31,9 @@ func scenarioWorkerCounts() []int {
 
 // TestScenariosDeterministicAcrossWorkers extends the central
 // byte-identity guarantee to every registered scenario: for each
-// scenario, the batch pipeline at Workers 1, 4, and GOMAXPROCS builds
-// identical studies, and the epoch-partitioned streaming path —
-// full-prefix Snapshot and the Incremental chain — renders the same
-// analyses byte for byte.
+// scenario, Run at Workers 1, 4, and GOMAXPROCS builds identical
+// studies, and the two-epoch chain's full-prefix snapshot holds the
+// same records and renders the same analyses byte for byte.
 func TestScenariosDeterministicAcrossWorkers(t *testing.T) {
 	const epochs = 2
 	scenarioIDs := scanners.Scenarios()
@@ -77,19 +76,9 @@ func TestScenariosDeterministicAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertStudiesIdentical(t, serial, snap, "streaming snapshot")
+				assertStudiesEquivalent(t, serial, snap, "streaming snapshot")
 				if renderAllAnalyses(snap) != want {
 					t.Fatalf("workers=%d: full-prefix snapshot differs from batch", workers)
-				}
-				inc := es.Incremental()
-				var chained *Study
-				for p := 1; p <= epochs; p++ {
-					if chained, err = inc.Advance(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if renderAllAnalyses(chained) != want {
-					t.Fatalf("workers=%d: incremental chain differs from batch", workers)
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 	"cloudwatch/internal/cloud"
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/honeypot"
-	"cloudwatch/internal/ids"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/obs"
 	"cloudwatch/internal/scanners"
@@ -20,22 +18,28 @@ import (
 	"cloudwatch/internal/wire"
 )
 
-// This file is the generation side of the streaming study engine: the
-// study week is partitioned into time epochs, the existing sharded
-// generators run once, and every probe lands in the per-epoch sink its
+// This file is the study's one generator: the week is partitioned
+// into time epochs, the actor population runs once across the
+// pipeline workers, and every probe lands in the per-epoch sink its
 // timestamp belongs to — per-epoch record columns, telescope
-// collectors, and GreyNoise deltas. Prefix snapshots (Snapshot)
-// reassemble the first p epochs into a full *Study that is
-// byte-identical to a batch Run truncated at the epoch boundary
-// (Config.WindowSec), so every table, figure, and ablation renders on
-// a snapshot unchanged. internal/stream layers the ingestion loop, the
-// K/prefix sweep engine, and the HTTP server on top.
+// collectors, and GreyNoise deltas. Incremental (incremental.go) is
+// the one assembler that turns the first p epochs into a *Study. A
+// batch Run is the one-epoch case of the same pair (see Run), and a
+// non-tip prefix snapshot is a replay of the chain (Snapshot).
+// internal/stream layers the ingestion loop, the K/prefix sweep
+// engine, and the HTTP server on top.
+
+// MaxEpochs is the largest epoch count the week may be partitioned
+// into: the generator's per-run collector dedup tracks the epochs a
+// run has reached in one 64-bit mask.
+const MaxEpochs = 64
 
 // epochSink is one (worker, epoch) cell of the partitioned pipeline:
 // the records, telescope aggregation, and GreyNoise delta of the
 // probes one worker routed into one epoch. seq is the per-actor
-// emission index of each record — the key the snapshot merge uses to
-// restore an actor's emission order across epochs.
+// emission index of each record — the key the assembler uses to keep
+// the §3.2 verdict anchor at an actor's earliest emission across
+// epochs.
 type epochSink struct {
 	tel *telescope.Collector
 	gn  *greynoise.Delta
@@ -51,27 +55,57 @@ type actorRuns struct {
 	lo, hi []int32
 }
 
-// streamShard is the epoch-routing counterpart of shard: one worker's
-// view of the partitioned pipeline. Each probe resolves its
-// destination through the shared dstCache, then lands in the sink of
-// the epoch its timestamp falls in. The worker's sink blocks share one
-// chunked column arena and are pre-sized from the scenario's emission
-// estimate, so 8× epoch partitioning no longer multiplies column
-// allocations and growth zeroing.
+// dstCache memoizes the per-destination routing decision — telescope
+// membership and the target lookup — across the runs of probes the
+// attempt and port loops emit to one address.
+type dstCache struct {
+	u          *netsim.Universe
+	lastDst    wire.Addr
+	lastDstOK  bool
+	lastTel    bool
+	lastTarget *netsim.Target
+	lastVi     int32
+}
+
+// resolve classifies a probe's destination: telescope space, a
+// monitored target (with its interned vantage id), or unmonitored
+// space (tel=false, t=nil).
+func (c *dstCache) resolve(dst wire.Addr) (tel bool, t *netsim.Target, vi int32) {
+	if !c.lastDstOK || dst != c.lastDst {
+		c.lastDst, c.lastDstOK = dst, true
+		c.lastTel = c.u.InTelescope(dst)
+		c.lastTarget, c.lastVi = nil, 0
+		if !c.lastTel {
+			c.lastTarget, c.lastVi, _ = c.u.ByIPIndexed(dst)
+		}
+	}
+	return c.lastTel, c.lastTarget, c.lastVi
+}
+
+// streamShard is one worker's private slice of the pipeline. Each
+// probe resolves its destination through the dstCache, then lands in
+// the sink of the epoch its timestamp falls in. The worker's sink
+// blocks share one chunked column arena and are pre-sized from the
+// scenario's emission estimate, so epoch partitioning does not
+// multiply column allocations and growth zeroing. Workers never share
+// mutable state; everything a sink accumulates is either a set union
+// or an integer-count sum, so assembly reaches the same state for any
+// schedule.
 type streamShard struct {
-	dc    dstCache
-	eb    netsim.Epochs
-	sinks []*epochSink
-	seq   int32 // per-actor emission counter, reset at actor start
+	dc     dstCache
+	eb     netsim.Epochs
+	window int32 // drop probes at study-second >= window (0 = keep all)
+	sinks  []*epochSink
+	seq    int32 // per-actor emission counter, reset at actor start
 
 	// Per-source GreyNoise dedup, hoisted out of the sinks: actors emit
 	// long same-source probe runs, but with timestamps routing probes
 	// round-robin across epoch sinks the per-Delta last-source
 	// short-circuit almost never fires, degenerating gn.Observe into a
 	// map insert per probe. The shard instead tracks which epoch sinks
-	// have already seen the current source run (a bitmask for studies
-	// of ≤64 epochs) and skips the Delta call entirely. Observe is a
-	// set insert, so skipping duplicates is observation-equivalent.
+	// have already seen the current source run (one bit per epoch) and
+	// skips the Delta call entirely. Observe is a set insert, so
+	// skipping duplicates is observation-equivalent.
 	gnSrc  wire.Addr
 	gnOK   bool
 	gnMask uint64
@@ -93,32 +127,36 @@ type streamShard struct {
 	pairMask uint64
 }
 
-// observeGN records p.Src as seen in epoch e's GreyNoise delta,
-// short-circuiting repeats within one source run.
-func (sh *streamShard) observeGN(sink *epochSink, e int, src wire.Addr) {
+// observeGN records src as seen in the GreyNoise delta of the epoch
+// whose mask bit is bit, short-circuiting repeats within one source
+// run.
+func (sh *streamShard) observeGN(sink *epochSink, bit uint64, src wire.Addr) {
 	if !sh.gnOK || src != sh.gnSrc {
 		sh.gnSrc, sh.gnOK = src, true
 		sh.gnMask = 0
 	}
-	if e < 64 {
-		if bit := uint64(1) << e; sh.gnMask&bit == 0 {
-			sh.gnMask |= bit
-			sink.gn.Observe(src)
-		}
-		return
+	if sh.gnMask&bit == 0 {
+		sh.gnMask |= bit
+		sink.gn.Observe(src)
 	}
-	sink.gn.Observe(src)
 }
 
-// dispatch routes one probe: telescope probes aggregate into the
+// dispatch routes one probe: probes past the truncation window vanish
+// before any collector sees them, telescope probes aggregate into the
 // collector of their epoch (with run-level dedup of the set inserts and
-// watch-log appends), honeypot probes append to the record block of
-// their epoch's sink. Like the batch dispatch, the probe is borrowed
-// only for the duration of the call.
+// watch-log appends), and honeypot probes append to the record block of
+// their epoch's sink.
+//
+// The probe is borrowed for the duration of the call (the generators
+// reuse one probe variable per scan — see scanners.Actor.Run); dispatch
+// copies every field it keeps into columns, so nothing here retains p.
 func (sh *streamShard) dispatch(p *netsim.Probe) {
 	sec, nsec := netsim.StudySeconds(p.T)
+	if sh.window > 0 && sec >= sh.window {
+		return
+	}
 	e := sh.eb.EpochOf(sec)
-	sink := sh.sinks[e]
+	sink, bit := sh.sinks[e], uint64(1)<<e
 	tel, t, vi := sh.dc.resolve(p.Dst)
 	if tel {
 		if p.Port != sh.telPort || p.Src != sh.telSrc || !sh.telOK {
@@ -129,25 +167,20 @@ func (sh *streamShard) dispatch(p *netsim.Probe) {
 			sh.telDst = p.Dst
 			sh.pairMask = 0
 		}
-		if e < 64 {
-			bit := uint64(1) << e
-			sink.tel.ObserveRun(p, sh.srcMask&bit == 0, sh.pairMask&bit == 0)
-			sh.srcMask |= bit
-			sh.pairMask |= bit
-		} else {
-			sink.tel.Observe(p)
-		}
-		sh.observeGN(sink, e, p.Src)
+		sink.tel.ObserveRun(p, sh.srcMask&bit == 0, sh.pairMask&bit == 0)
+		sh.srcMask |= bit
+		sh.pairMask |= bit
+		sh.observeGN(sink, bit, p.Src)
 		return
 	}
 	if t == nil {
-		return
+		return // probe to unmonitored space: invisible to the study
 	}
 	pay, creds, ok := honeypot.Collect(t, p)
 	if !ok {
 		return
 	}
-	sh.observeGN(sink, e, p.Src)
+	sh.observeGN(sink, bit, p.Src)
 	sink.blk.AppendAt(vi, sec, nsec, p, pay, creds)
 	sink.seq = append(sink.seq, sh.seq)
 	sh.seq++
@@ -171,11 +204,28 @@ type EpochSet struct {
 
 // GenerateEpochs builds the deployment, crawls the search engines, and
 // runs the actor population once through the sharded pipeline with
-// every probe routed into the per-epoch sink of its timestamp. The
-// result feeds prefix snapshots; epochs < 1 is treated as 1.
-// Config.WindowSec must be zero — truncation is what snapshots are
-// for.
+// every probe routed into the per-epoch sink of its timestamp. epochs
+// must lie in [1, MaxEpochs]. Config.WindowSec must be zero —
+// truncation is what prefix snapshots are for.
 func GenerateEpochs(cfg Config, epochs int) (*EpochSet, error) {
+	if err := checkUnwindowed(cfg); err != nil {
+		return nil, err
+	}
+	return generate(cfg, epochs)
+}
+
+// checkUnwindowed rejects a truncation window on the streaming entry
+// points: their prefixes are the truncation mechanism.
+func checkUnwindowed(cfg Config) error {
+	if cfg.WindowSec != 0 {
+		return fmt.Errorf("core: WindowSec is incompatible with epoch streaming (prefix snapshots are the truncation mechanism)")
+	}
+	return nil
+}
+
+// generate is GenerateEpochs without the window check: Run generates
+// a single epoch truncated at cfg.WindowSec through it.
+func generate(cfg Config, epochs int) (*EpochSet, error) {
 	es, ctx, err := newEpochSet(cfg, epochs)
 	if err != nil {
 		return nil, err
@@ -190,16 +240,19 @@ func GenerateEpochs(cfg Config, epochs int) (*EpochSet, error) {
 // newEpochSet builds everything of an epoch-partitioned study that is
 // deterministic from the configuration alone — deployment, universe,
 // search-engine crawls, actor population — and leaves the generated
-// material empty. GenerateEpochs runs the actors to fill it;
+// material empty. generate runs the actors to fill it;
 // RestoreEpochSet installs persisted material instead, which is what
 // lets a durable-store cold start skip generation entirely.
 func newEpochSet(cfg Config, epochs int) (*EpochSet, *scanners.Context, error) {
-	if cfg.WindowSec != 0 {
-		return nil, nil, fmt.Errorf("core: WindowSec is incompatible with epoch streaming (prefix snapshots are the truncation mechanism)")
+	if epochs < 1 || epochs > MaxEpochs {
+		return nil, nil, fmt.Errorf("core: %d epochs out of range [1, %d]", epochs, MaxEpochs)
 	}
 	if cfg.Year == 0 {
 		cfg.Year = 2021
 	}
+	// Canonicalize and validate the scenario before building anything:
+	// a typoed scenario id fails with the registered ids enumerated,
+	// not halfway into a deployment build.
 	cfg.Actors.Scenario = scanners.CanonicalScenario(cfg.Actors.Scenario)
 	actors, err := scanners.PopulationFor(cfg.Actors)
 	if err != nil {
@@ -221,6 +274,8 @@ func newEpochSet(cfg Config, epochs int) (*EpochSet, *scanners.Context, error) {
 		censys: searchengine.New("censys"),
 		shodan: searchengine.New("shodan"),
 	}
+	// Search engines crawl before the study window opens; attackers
+	// mine the resulting index during the week (§4.3).
 	crawlTime := netsim.StudyStart.Add(-24 * time.Hour)
 	es.censys.Crawl(u, crawlTime)
 	es.shodan.Crawl(u, crawlTime)
@@ -230,14 +285,13 @@ func newEpochSet(cfg Config, epochs int) (*EpochSet, *scanners.Context, error) {
 	return es, ctx, nil
 }
 
-// runActors drives the population across workers exactly like the
-// batch pipeline (each actor on one worker, its own seeded streams):
-// every worker routes its probes into per-epoch sinks whose record
-// blocks share one per-worker chunked column arena and are pre-sized
-// from the scenario's emission estimate, so the hot path appends
-// without geometric reallocation. Append order within a sink is the
-// dispatch order of the batch pipeline, so the generated material is
-// byte-identical to a direct per-probe routing.
+// runActors drives the population across workers. Each actor draws
+// from its own seeded random streams and runs on exactly one worker,
+// so its probe sequence — and therefore its record range in every
+// epoch — is independent of scheduling. Every worker routes its probes
+// into per-epoch sinks whose record blocks share one per-worker
+// chunked column arena and are pre-sized from the scenario's emission
+// estimate, so the hot path appends without geometric reallocation.
 func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -285,7 +339,7 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 			sinks[e] = sink
 		}
 		es.sinks[w] = sinks
-		sh := &streamShard{dc: dstCache{u: es.u}, eb: es.eb, sinks: sinks}
+		sh := &streamShard{dc: dstCache{u: es.u}, eb: es.eb, window: es.cfg.WindowSec, sinks: sinks}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -340,8 +394,8 @@ func (es *EpochSet) Config() Config { return es.cfg }
 func (es *EpochSet) Window(e int) (start, end time.Time) { return es.eb.Window(e) }
 
 // Bound returns the starting study-second of epoch e (Bound(NumEpochs())
-// is the end of the week) — the WindowSec a truncated batch Run needs
-// to reproduce the first e epochs.
+// is the end of the week) — the WindowSec a truncated Run needs to
+// reproduce the first e epochs.
 func (es *EpochSet) Bound(e int) int32 { return es.eb.Bound(e) }
 
 // EpochRecords returns the number of honeypot records generated inside
@@ -361,119 +415,4 @@ func (es *EpochSet) EpochTelescopePackets(e int) int {
 		n += sinks[e].tel.Packets()
 	}
 	return n
-}
-
-// Snapshot assembles the immutable study of the first `prefix` epochs
-// (1 ≤ prefix ≤ NumEpochs()): record columns k-way merged per actor in
-// emission order, telescope and GreyNoise shards union-merged, and
-// every derived column (verdicts anchored at first occurrence in the
-// merged canonical order, per-payload facts, per-vantage lists)
-// finalized — so the snapshot renders every table, figure, and
-// ablation exactly like a batch Run truncated at Bound(prefix) (the
-// full-week Run when prefix == NumEpochs()). Each snapshot owns its
-// collectors and caches; building one never mutates the EpochSet, so
-// snapshots may be assembled concurrently.
-func (es *EpochSet) Snapshot(prefix int) (*Study, error) {
-	if prefix < 1 || prefix > es.eb.NumEpochs() {
-		return nil, fmt.Errorf("core: snapshot prefix %d out of range [1, %d]", prefix, es.eb.NumEpochs())
-	}
-	sp := obs.StartStage(obs.StageSnapshotRebuild)
-	defer sp.End()
-	cfg := es.cfg
-	if prefix < es.eb.NumEpochs() {
-		cfg.WindowSec = es.eb.Bound(prefix)
-	}
-	s := &Study{
-		Cfg:    cfg,
-		U:      es.u,
-		Tel:    telescope.New(cfg.TelescopeWatch...),
-		GN:     greynoise.NewService(),
-		Censys: es.censys,
-		Shodan: es.shodan,
-		Actors: es.actors,
-		IDS:    ids.DefaultEngine(),
-	}
-	for _, actor := range es.actors {
-		if actor.Benign {
-			s.GN.VetASN(actor.AS.ASN)
-		}
-	}
-
-	// Union-merge the collector shards of every ingested epoch and lay
-	// out the snapshot's credential arena (per-sink index rebasing, as
-	// the batch merge does per shard).
-	total, credTotal := 0, 0
-	credBase := make(map[*epochSink]int32)
-	for _, sinks := range es.sinks {
-		for e := 0; e < prefix; e++ {
-			sink := sinks[e]
-			s.Tel.Merge(sink.tel)
-			s.GN.MergeDelta(sink.gn)
-			credBase[sink] = int32(credTotal)
-			credTotal += len(sink.blk.CredLists)
-			total += sink.blk.Len()
-		}
-	}
-	s.blk.Grow(total)
-	s.blk.CredLists = make([][]netsim.Credential, 0, credTotal)
-	for _, sinks := range es.sinks {
-		for e := 0; e < prefix; e++ {
-			s.blk.CredLists = append(s.blk.CredLists, sinks[e].blk.CredLists...)
-		}
-	}
-
-	// Reassemble the record columns in canonical order: actors in
-	// population order, and within an actor its ingested-epoch runs
-	// k-way merged by emission index — exactly the subsequence a
-	// truncated batch dispatch would have appended.
-	type cursor struct {
-		sink    *epochSink
-		idx, hi int32
-	}
-	var cur []cursor
-	for i := range es.runs {
-		run := &es.runs[i]
-		cur = cur[:0]
-		for e := 0; e < prefix; e++ {
-			if run.hi[e] > run.lo[e] {
-				cur = append(cur, cursor{run.sinks[e], run.lo[e], run.hi[e]})
-			}
-		}
-		if len(cur) == 1 {
-			c := cur[0]
-			s.blk.AppendRange(&c.sink.blk, int(c.idx), int(c.hi), credBase[c.sink])
-			continue
-		}
-		for len(cur) > 0 {
-			best := 0
-			for k := 1; k < len(cur); k++ {
-				if cur[k].sink.seq[cur[k].idx] < cur[best].sink.seq[cur[best].idx] {
-					best = k
-				}
-			}
-			// Extend the winning run while it stays below every other
-			// cursor's next emission index, then append it as one range.
-			minOther := int32(math.MaxInt32)
-			for k := range cur {
-				if k != best {
-					if sq := cur[k].sink.seq[cur[k].idx]; sq < minOther {
-						minOther = sq
-					}
-				}
-			}
-			c := &cur[best]
-			lo := c.idx
-			for c.idx < c.hi && c.sink.seq[c.idx] < minOther {
-				c.idx++
-			}
-			s.blk.AppendRange(&c.sink.blk, int(lo), int(c.idx), credBase[c.sink])
-			if c.idx == c.hi {
-				cur = append(cur[:best], cur[best+1:]...)
-			}
-		}
-	}
-
-	s.buildVerdicts()
-	s.buildDerived(netsim.PayloadCount())
-	return s, nil
 }

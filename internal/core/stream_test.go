@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cloudwatch/internal/netsim"
@@ -11,11 +12,17 @@ import (
 // TestStreamingSnapshotsMatchTruncatedRuns is the streaming
 // equivalence matrix: for seeds 42/7 × years 2020–2022 × generation
 // Workers 1/4/GOMAXPROCS, every epoch-prefix snapshot renders every
-// table, figure, and ablation byte-identically to a fresh batch
-// core.Run truncated to the same window, and the final snapshot
+// table, figure, and ablation byte-identically to a Run truncated to
+// the same window (checked record by record against the reference
+// generator in TestGenerationEquivalence), and the final snapshot
 // byte-identically to the full-week run. The truncated references are
 // built once per (seed, year) at the default worker count, so the
-// comparison also crosses worker counts.
+// comparison also crosses worker counts. Both the assembly chain the
+// streaming engine ingests through and the replay Snapshot serves
+// evicted prefixes from are checked; every chain snapshot is rendered
+// only after the whole chain is assembled, which proves later appends
+// never disturb an earlier published snapshot (the chain shares column
+// backing arrays).
 func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
 	seeds := []int64{42, 7}
 	years := []int{2020, 2021, 2022}
@@ -57,33 +64,43 @@ func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for p := 1; p <= epochs; p++ {
-						snap, err := es.Snapshot(p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := renderAllAnalyses(snap); got != wants[p] {
-							t.Errorf("workers=%d prefix=%d: snapshot analyses differ from truncated batch run", workers, p)
-						}
-					}
 
-					// The incremental chain (the path the streaming
-					// engine's IngestNext takes) must match the same
-					// truncated batch references; rendering after the
-					// whole chain is built also checks that later
-					// appends leave earlier snapshots untouched.
 					inc := es.Incremental()
+					if inc.Prefix() != 0 || inc.Tip() != nil {
+						t.Fatal("fresh assembler is not at prefix 0")
+					}
 					chain := make([]*Study, 0, epochs)
 					for p := 1; p <= epochs; p++ {
 						snap, err := inc.Advance()
 						if err != nil {
 							t.Fatal(err)
 						}
+						if inc.Prefix() != p || inc.Tip() != snap {
+							t.Fatalf("after Advance #%d: Prefix=%d, Tip==snap %v", p, inc.Prefix(), inc.Tip() == snap)
+						}
 						chain = append(chain, snap)
 					}
+					if _, err := inc.Advance(); err == nil {
+						t.Fatal("Advance past the last epoch should error")
+					}
+					if r := inc.Repairs(); r > 0 {
+						t.Logf("workers=%d: %d verdict-flip repair(s)", workers, r)
+					}
+
 					for p := 1; p <= epochs; p++ {
 						if got := renderAllAnalyses(chain[p-1]); got != wants[p] {
-							t.Errorf("workers=%d prefix=%d: incremental snapshot differs from truncated batch run", workers, p)
+							t.Errorf("workers=%d prefix=%d: chain snapshot differs from truncated run", workers, p)
+						}
+						snap, err := es.Snapshot(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if snap.NumRecords() != chain[p-1].NumRecords() {
+							t.Errorf("workers=%d prefix=%d: replayed snapshot has %d records, chain %d",
+								workers, p, snap.NumRecords(), chain[p-1].NumRecords())
+						}
+						if got := renderAllAnalyses(snap); got != wants[p] {
+							t.Errorf("workers=%d prefix=%d: replayed snapshot differs from truncated run", workers, p)
 						}
 					}
 				}
@@ -93,8 +110,10 @@ func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
 }
 
 // TestFinalSnapshotIsTheFullStudy deep-compares the final prefix
-// snapshot against the full-week batch run — records, collectors, and
-// verdicts, not just rendered output.
+// snapshot against the full-week run — records with their verdicts,
+// per-vantage lists, and collectors, not just rendered output. The
+// five-epoch chain lays records out epoch-major, so the records are
+// compared as a multiset.
 func TestFinalSnapshotIsTheFullStudy(t *testing.T) {
 	cfg := testConfig(42, 2021)
 	want, err := Run(cfg)
@@ -109,7 +128,7 @@ func TestFinalSnapshotIsTheFullStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertStudiesIdentical(t, want, got, "final snapshot")
+	assertStudiesEquivalent(t, want, got, "final snapshot")
 }
 
 // TestWindowedRunTruncates pins WindowSec semantics: a truncated run
@@ -138,23 +157,26 @@ func TestWindowedRunTruncates(t *testing.T) {
 	// The truncated record sequence is the full sequence filtered to
 	// the window.
 	i := 0
-	trunc.EachRecord(func(_ int, rec netsim.Record) {
+next:
+	for r := 0; r < trunc.NumRecords(); r++ {
+		rec := recordAt(trunc, r)
 		if sec, _ := netsim.StudySeconds(rec.T); sec >= wcfg.WindowSec {
 			t.Fatalf("truncated run kept a record at study-second %d (window %d)", sec, wcfg.WindowSec)
 		}
 		for i < full.NumRecords() {
-			fr := full.RecordAt(i)
+			fr := recordAt(full, i)
 			i++
 			if recordsEqual(rec, fr) {
-				return
+				continue next
 			}
 		}
 		t.Fatal("truncated records are not a subsequence of the full run")
-	})
+	}
 }
 
 // TestGenerateEpochsValidation pins the API edges: truncation windows
-// cannot combine with streaming, and snapshot prefixes are bounded.
+// cannot combine with streaming, the epoch count is bounded with the
+// valid range named in the error, and snapshot prefixes are bounded.
 func TestGenerateEpochsValidation(t *testing.T) {
 	cfg := testConfig(42, 2021)
 	cfg.WindowSec = 3600
@@ -162,6 +184,15 @@ func TestGenerateEpochsValidation(t *testing.T) {
 		t.Fatal("GenerateEpochs accepted a truncation window")
 	}
 	cfg.WindowSec = 0
+	for _, n := range []int{0, -1, MaxEpochs + 1} {
+		_, err := GenerateEpochs(cfg, n)
+		if err == nil {
+			t.Fatalf("GenerateEpochs accepted %d epochs", n)
+		}
+		if want := fmt.Sprintf("[1, %d]", MaxEpochs); !strings.Contains(err.Error(), want) {
+			t.Errorf("%d epochs: error %q does not name the valid range %s", n, err, want)
+		}
+	}
 	es, err := GenerateEpochs(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -183,4 +214,51 @@ func TestGenerateEpochsValidation(t *testing.T) {
 	if snap.NumRecords() != total {
 		t.Fatalf("epoch records sum to %d, final snapshot has %d", total, snap.NumRecords())
 	}
+}
+
+// TestOneEpochSnapshotIsRun pins the one-epoch edge: a single-epoch
+// set's only snapshot is Run itself, record for record — through the
+// block adoption at one worker and the copying assembly at four.
+func TestOneEpochSnapshotIsRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := testConfig(7, 2021)
+		cfg.Workers = workers
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es, err := GenerateEpochs(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := es.Snapshot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStudiesIdentical(t, want, got, fmt.Sprintf("workers=%d", workers))
+	}
+}
+
+// TestGenerateEpochsMoreWorkersThanActors exercises the worker clamp of
+// the epoch generator: asking for more workers than actors yields one
+// sink set per actor and the same study.
+func TestGenerateEpochsMoreWorkersThanActors(t *testing.T) {
+	cfg := testConfig(3, 2021)
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 10_000
+	es, err := GenerateEpochs(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, actors := es.Material().Workers, len(want.Actors); w != actors {
+		t.Fatalf("generation used %d workers for %d actors", w, actors)
+	}
+	got, err := es.Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStudiesEquivalent(t, want, got, "workers=10000")
 }

@@ -39,7 +39,7 @@ func TestStudyRunsAndCollects(t *testing.T) {
 
 	// Every record must reference a real vantage point.
 	for i := 0; i < min(1000, s.NumRecords()); i++ {
-		if _, ok := s.U.ByID(s.RecordAt(i).Vantage); !ok {
+		if _, ok := s.U.ByID(recordAt(s, i).Vantage); !ok {
 			t.Fatalf("record %d references unknown vantage", i)
 		}
 	}
@@ -52,7 +52,7 @@ func TestStudyDeterministic(t *testing.T) {
 		t.Fatalf("record counts differ: %d vs %d", a.NumRecords(), b.NumRecords())
 	}
 	for i := 0; i < a.NumRecords(); i++ {
-		ra, rb := a.RecordAt(i), b.RecordAt(i)
+		ra, rb := recordAt(a, i), recordAt(b, i)
 		if ra.Src != rb.Src || ra.Vantage != rb.Vantage || !ra.T.Equal(rb.T) {
 			t.Fatalf("record %d differs between identical runs", i)
 		}
@@ -66,10 +66,11 @@ func TestStudyGreyNoiseSemantics(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	interactiveWithPayload := 0
 	interactiveWithCreds := 0
-	s.EachRecord(func(_ int, rec netsim.Record) {
+	for i := 0; i < s.NumRecords(); i++ {
+		rec := recordAt(s, i)
 		tgt, _ := s.U.ByID(rec.Vantage)
 		if tgt.Collector != netsim.CollectGreyNoise {
-			return
+			continue
 		}
 		if rec.Port == 22 || rec.Port == 23 || rec.Port == 2222 || rec.Port == 2323 {
 			if rec.Payload != nil {
@@ -79,7 +80,7 @@ func TestStudyGreyNoiseSemantics(t *testing.T) {
 				interactiveWithCreds++
 			}
 		}
-	})
+	}
 	if interactiveWithPayload != 0 {
 		t.Errorf("GreyNoise interactive ports recorded %d payloads, want 0", interactiveWithPayload)
 	}
@@ -124,13 +125,13 @@ func TestStudySearchEnginesIndexedFleet(t *testing.T) {
 func TestStudyMaliciousClassification(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	malicious, benign := 0, 0
-	s.EachRecord(func(_ int, rec netsim.Record) {
-		if s.RecordMalicious(rec) {
+	for i := 0; i < s.NumRecords(); i++ {
+		if recordMalicious(s, recordAt(s, i)) {
 			malicious++
 		} else {
 			benign++
 		}
-	})
+	}
 	if malicious == 0 || benign == 0 {
 		t.Fatalf("degenerate classification: malicious=%d benign=%d", malicious, benign)
 	}
@@ -146,11 +147,11 @@ func TestStudyVantageRecords(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	total := 0
 	for _, tgt := range s.U.Targets() {
-		recs := s.VantageRecords(tgt.ID)
+		recs := vantageRecords(s, tgt.ID)
 		total += len(recs)
 		for _, rec := range recs {
 			if rec.Vantage != tgt.ID {
-				t.Fatalf("VantageRecords(%s) returned record for %s", tgt.ID, rec.Vantage)
+				t.Fatalf("vantage %s's record list holds a record for %s", tgt.ID, rec.Vantage)
 			}
 		}
 	}

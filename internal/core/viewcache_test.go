@@ -16,13 +16,13 @@ var allSlices = []ProtocolSlice{
 }
 
 // freshVantageView computes a vantage view the pre-index way — raw
-// record iteration through View.Add and RecordMalicious — bypassing
+// record iteration through View.Add and recordMalicious — bypassing
 // both the derived index columns and the view cache. The reference the
 // cached path must match exactly.
 func freshVantageView(s *Study, id string, slice ProtocolSlice) *View {
 	v := NewView(slice)
-	for _, rec := range s.VantageRecords(id) {
-		v.Add(rec, s.RecordMalicious(rec))
+	for _, rec := range vantageRecords(s, id) {
+		v.Add(rec, recordMalicious(s, rec))
 	}
 	return v
 }
@@ -90,12 +90,13 @@ func TestGroupViewCachedEqualsFresh(t *testing.T) {
 }
 
 // TestDerivedColumnsMatchDirect checks each derived column — all
-// materialized by the pipeline itself before Run returns — against
+// materialized by the assembler itself before Run returns — against
 // direct per-record derivation.
 func TestDerivedColumnsMatchDirect(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
-	s.EachRecord(func(i int, rec netsim.Record) {
-		if got, want := s.mal[i], s.RecordMalicious(rec); got != want {
+	for i := 0; i < s.NumRecords(); i++ {
+		rec := recordAt(s, i)
+		if got, want := s.mal[i], recordMalicious(s, rec); got != want {
 			t.Fatalf("record %d: mal column = %v, want %v", i, got, want)
 		}
 		if got, want := s.blk.Hour(i), netsim.HourOf(rec.T); got != want {
@@ -118,7 +119,7 @@ func TestDerivedColumnsMatchDirect(t *testing.T) {
 		} else if s.recPayKey(i) != "" {
 			t.Fatalf("record %d: payloadless record has payKey %q", i, s.recPayKey(i))
 		}
-	})
+	}
 }
 
 // TestViewCacheConcurrentExperiments hammers the cached read path the

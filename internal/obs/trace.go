@@ -21,10 +21,9 @@ import (
 // Stage names used across the pipeline. Instrumentation sites and the
 // docs both reference these constants so the names cannot drift.
 const (
-	StageEpochGeneration     = "epoch_generation"     // core.GenerateEpochs: one full generator pass
-	StageIncrementalAssembly = "incremental_assembly" // core.Incremental.Advance: one epoch folded in
+	StageEpochGeneration     = "epoch_generation"     // core generator pass (GenerateEpochs, Run)
+	StageIncrementalAssembly = "incremental_assembly" // core.Incremental.Advance: one epoch folded in (also Run, Snapshot replays)
 	StageVerdictRepair       = "verdict_repair"       // core.Incremental.repairFlips: in-place verdict repair
-	StageSnapshotRebuild     = "snapshot_rebuild"     // core.EpochSet.Snapshot: from-scratch non-tip prefix
 	StageStorePersist        = "store_persist"        // store segment write / manifest advance
 	StageTableRender         = "table_render"         // core.RenderExperiment(AtK): one table or figure
 )

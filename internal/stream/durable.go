@@ -90,9 +90,8 @@ func Open(cfg Config, st *store.Store) (*Engine, error) {
 // different scenario yields different JSON, which is what makes a
 // store written under one scenario refuse to serve another.
 func normalizedConfigJSON(cfg Config) (js []byte, epochs int, err error) {
-	epochs = cfg.Epochs
-	if epochs <= 0 {
-		epochs = DefaultEpochs
+	if epochs, err = cfg.epochs(); err != nil {
+		return nil, 0, err
 	}
 	study := cfg.Study
 	study.Workers = 0

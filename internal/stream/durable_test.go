@@ -311,3 +311,19 @@ func TestConcurrentIngestAndRecoveryReads(t *testing.T) {
 		t.Fatalf("ingested %d of %d", got, epochs)
 	}
 }
+
+// TestEpochCountBounded checks that New and Open bound the epoch count
+// with the valid range in the error, before generating anything or
+// writing the store.
+func TestEpochCountBounded(t *testing.T) {
+	want := fmt.Sprintf("[1, %d]", core.MaxEpochs)
+	for _, n := range []int{-1, core.MaxEpochs + 1} {
+		cfg := Config{Study: testStudyConfig(42, 2021), Epochs: n}
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New with %d epochs: error %v should name the range %s", n, err, want)
+		}
+		if _, err := Open(cfg, openTestStore(t, store.NewMemFS())); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Open with %d epochs: error %v should name the range %s", n, err, want)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 // Package stream is the streaming study engine: it partitions a study
-// year into time epochs, ingests them incrementally through the
-// epoch-partitioned generator (core.GenerateEpochs), and exposes an
-// immutable prefix snapshot per ingested epoch — a full *core.Study on
-// which every table, figure, and ablation renders exactly as a batch
-// run truncated to the same window would. On top of snapshots it runs
+// year into time epochs, generates them once (core.GenerateEpochs),
+// ingests them one at a time through the incremental assembler
+// (core.Incremental), and exposes an immutable prefix snapshot per
+// ingested epoch — a full *core.Study on which every table, figure,
+// and ablation renders exactly as a core.Run truncated to the same
+// window would. On top of snapshots it runs
 // K/prefix sweeps of the §3.3 comparison tables (Sweep) and serves
 // snapshots and sweeps as JSON over HTTP (Server) with
 // per-(epoch, experiment) result caching.
@@ -23,7 +24,8 @@ import (
 )
 
 // Engine-level observability: how the snapshot LRU behaves under read
-// traffic (a miss means a from-scratch snapshot_rebuild) and how far
+// traffic (a miss means replaying the assembly chain up to the prefix)
+// and how far
 // ingestion has advanced, registry-wide across every engine of the
 // process (one serving engine per process is the intended topology;
 // multi-engine sweeps simply sum).
@@ -31,7 +33,7 @@ var (
 	mSnapHits = obs.Default().Counter("stream_snapshot_lru_hits_total",
 		"Non-tip snapshot requests served from the prefix-snapshot LRU.")
 	mSnapMisses = obs.Default().Counter("stream_snapshot_lru_misses_total",
-		"Non-tip snapshot requests that fell out of the LRU and reassembled from scratch.")
+		"Non-tip snapshot requests that fell out of the LRU and were replayed through a fresh assembly chain.")
 	mSnapEvictions = obs.Default().Counter("stream_snapshot_lru_evictions_total",
 		"Prefix snapshots evicted from the snapshot LRU.")
 	mSnapEntries = obs.Default().Gauge("stream_snapshot_lru_entries",
@@ -44,13 +46,26 @@ var (
 type Config struct {
 	// Study is the batch study configuration the stream partitions.
 	Study core.Config
-	// Epochs is the number of time epochs the week is split into
-	// (default 8).
+	// Epochs is the number of time epochs the week is split into:
+	// 0 means DefaultEpochs, anything else must lie in
+	// [1, core.MaxEpochs].
 	Epochs int
 }
 
 // DefaultEpochs is the epoch count used when Config.Epochs is zero.
 const DefaultEpochs = 8
+
+// epochs resolves the configured epoch count, rejecting counts outside
+// [1, core.MaxEpochs] with the valid range in the error.
+func (c Config) epochs() (int, error) {
+	switch {
+	case c.Epochs == 0:
+		return DefaultEpochs, nil
+	case c.Epochs < 1 || c.Epochs > core.MaxEpochs:
+		return 0, fmt.Errorf("stream: %d epochs out of range [1, %d]", c.Epochs, core.MaxEpochs)
+	}
+	return c.Epochs, nil
+}
 
 // Engine ingests a study epoch by epoch and hands out immutable
 // prefix snapshots. Safe for concurrent use: ingestion serializes,
@@ -81,9 +96,9 @@ type Engine struct {
 
 // snapCacheCap bounds how many non-tip prefix snapshots the engine
 // retains. Sixteen covers every prefix of the default 8-epoch split
-// with room to spare, while a long split (hourly epochs over a week)
-// no longer pins one full Study per epoch in memory: older prefixes
-// fall out and are reassembled from scratch on demand.
+// with room to spare, while a long split (up to core.MaxEpochs) does
+// not pin one full Study per epoch in memory: older prefixes fall out
+// and are replayed through a fresh assembly chain on demand.
 const snapCacheCap = 16
 
 // snapLRU is a small least-recently-used set of prefix snapshots.
@@ -142,16 +157,14 @@ func (c *snapLRU) len() int {
 // step: one full pass of the sharded generators) and returns an engine
 // with nothing ingested yet.
 func New(cfg Config) (*Engine, error) {
-	epochs := cfg.Epochs
-	if epochs <= 0 {
-		epochs = DefaultEpochs
+	epochs, err := cfg.epochs()
+	if err != nil {
+		return nil, err
 	}
 	es, err := core.GenerateEpochs(cfg.Study, epochs)
 	if err != nil {
 		return nil, err
 	}
-	// es.NumEpochs() is the authoritative count (netsim clamps
-	// degenerate epoch requests).
 	return &Engine{es: es, inc: es.Incremental()}, nil
 }
 
@@ -260,10 +273,12 @@ func (e *Engine) IngestAll() error {
 // The prefix must already be ingested. The tip snapshot is always
 // retained; recent non-tip prefixes are served from a small LRU of
 // chain-assembled snapshots (each keeps its own analysis caches warm),
-// and a prefix that has fallen out of the LRU is reassembled from
-// scratch through core.EpochSet.Snapshot — generation being
-// deterministic, the reassembled study renders byte-identically to the
-// chain snapshot it replaces, it just starts with cold render caches.
+// and a prefix that has fallen out of the LRU is rebuilt by
+// core.EpochSet.Snapshot, which replays a fresh assembly chain up to
+// the prefix — the same Advance steps the ingest chain took, so the
+// rebuilt study renders byte-identically to the chain snapshot it
+// replaces; it just starts with cold render caches, and its columns
+// are sized to the prefix rather than the week.
 func (e *Engine) Snapshot(prefix int) (*core.Study, error) {
 	e.mu.RLock()
 	ingested, tip := e.ingested, e.tip
@@ -282,9 +297,9 @@ func (e *Engine) Snapshot(prefix int) (*core.Study, error) {
 		return snap, nil
 	}
 	mSnapMisses.Inc()
-	// Evicted from the LRU: reassemble from scratch, outside any lock
-	// (concurrent misses may both assemble; both results are valid and
-	// identical, and the second put just refreshes recency).
+	// Evicted from the LRU: replay the chain up to the prefix, outside
+	// any lock (concurrent misses may both replay; both results are
+	// valid and identical, and the second put just refreshes recency).
 	snap, err := e.es.Snapshot(prefix)
 	if err != nil {
 		return nil, err
