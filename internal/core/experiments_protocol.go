@@ -77,17 +77,7 @@ func (s *Study) Table11() Table11Result {
 			// A scanner counts as ∼HTTP when its identified payloads
 			// on the port are predominantly non-HTTP.
 			http := info.protos[fingerprint.HTTP]
-			other := 0
-			var domProto fingerprint.Protocol
-			domN := 0
-			for proto, n := range info.protos {
-				if proto != fingerprint.HTTP {
-					other += n
-					if n > domN {
-						domN, domProto = n, proto
-					}
-				}
-			}
+			domProto, other := dominantProtocol(info.protos)
 			if other > http {
 				unexpected = append(unexpected, ip)
 				if port == 80 {
@@ -144,6 +134,24 @@ func (s *Study) Table11() Table11Result {
 	}
 	res.TopBenign = best
 	return res
+}
+
+// dominantProtocol returns the most frequent non-HTTP protocol among a
+// scanner's identified payloads, plus the count of all its non-HTTP
+// payloads. Count ties go to the lower protocol value, so the pick
+// never follows map iteration order.
+func dominantProtocol(protos map[fingerprint.Protocol]int) (dom fingerprint.Protocol, other int) {
+	domN := 0
+	for proto, n := range protos {
+		if proto == fingerprint.HTTP {
+			continue
+		}
+		other += n
+		if n > domN || (n == domN && proto < dom) {
+			domN, dom = n, proto
+		}
+	}
+	return dom, other
 }
 
 // Render formats Table 11 / Table 17.

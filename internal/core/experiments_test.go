@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cloudwatch/internal/fingerprint"
 )
 
 // sharedStudy caches one scaled study per year across experiment
@@ -391,6 +393,25 @@ func TestTable6Render(t *testing.T) {
 	for _, city := range []string{"CA-US", "FRA-DE", "SIN-SG"} {
 		if !strings.Contains(out, city) {
 			t.Errorf("Table 6 missing city %s", city)
+		}
+	}
+}
+
+// TestDominantProtocolTieBreak pins Table 11's dominant non-HTTP
+// protocol pick on tied counts: the lower protocol value wins on every
+// map iteration order, so one snapshot always renders one line.
+func TestDominantProtocolTieBreak(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		protos := map[fingerprint.Protocol]int{
+			fingerprint.HTTP:   9,
+			fingerprint.Redis:  2,
+			fingerprint.RTSP:   2,
+			fingerprint.SMB:    2,
+			fingerprint.Telnet: 1,
+		}
+		dom, other := dominantProtocol(protos)
+		if dom != fingerprint.SMB || other != 7 {
+			t.Fatalf("iteration %d: dominantProtocol = (%v, %d), want (%v, 7)", i, dom, other, fingerprint.SMB)
 		}
 	}
 }
