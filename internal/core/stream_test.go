@@ -239,6 +239,42 @@ func TestOneEpochSnapshotIsRun(t *testing.T) {
 	}
 }
 
+// TestMaxEpochs runs the chain at the epoch cap, where the generator's
+// per-run dedup uses every bit of its 64-bit masks: the first prefix
+// matches the Run truncated at its bound and the last the full week.
+func TestMaxEpochs(t *testing.T) {
+	cfg := testConfig(42, 2021)
+	es, err := GenerateEpochs(cfg, MaxEpochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := es.Incremental()
+	first, err := inc.Advance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last *Study
+	for inc.Prefix() < MaxEpochs {
+		if last, err = inc.Advance(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wcfg := cfg
+	wcfg.WindowSec = es.Bound(1)
+	for _, c := range []struct {
+		cfg  Config
+		snap *Study
+	}{{wcfg, first}, {cfg, last}} {
+		want, err := Run(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderAllAnalyses(c.snap) != renderAllAnalyses(want) {
+			t.Errorf("window %d: %d-epoch chain snapshot differs from the truncated run", c.cfg.WindowSec, MaxEpochs)
+		}
+	}
+}
+
 // TestGenerateEpochsMoreWorkersThanActors exercises the worker clamp of
 // the epoch generator: asking for more workers than actors yields one
 // sink set per actor and the same study.
