@@ -7,7 +7,7 @@ import "cloudwatch/internal/obs"
 // repair, never per record — so the generation hot path pays nothing.
 var (
 	// mRecordsGenerated counts honeypot records produced by every
-	// generator pass of this process (batch Run and GenerateEpochs).
+	// generator pass of this process (Run and GenerateEpochs).
 	mRecordsGenerated = obs.Default().Counter("core_records_generated_total",
 		"Honeypot records produced by generation (batch and epoch-partitioned).")
 	// mVerdictRepairs counts Advance calls that had to repair

@@ -118,6 +118,9 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 	if want, got := scanners.CanonicalScenario(cfg.Actors.Scenario), scanners.CanonicalScenario(m.Scenario); want != got {
 		return nil, fmt.Errorf("core: material was generated under scenario %q, study is configured for %q", got, want)
 	}
+	if err := checkUnwindowed(cfg); err != nil {
+		return nil, err
+	}
 	es, _, err := newEpochSet(cfg, len(m.Epochs))
 	if err != nil {
 		return nil, err

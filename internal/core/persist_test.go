@@ -139,4 +139,12 @@ func TestRestoreEpochSetValidation(t *testing.T) {
 	if _, err := RestoreEpochSet(cfg, m); err == nil {
 		t.Fatal("empty material restored successfully")
 	}
+
+	// Persisted material is the whole week; a truncation window cannot
+	// apply to it.
+	wcfg := cfg
+	wcfg.WindowSec = es.Bound(1)
+	if _, err := RestoreEpochSet(wcfg, pristine); err == nil {
+		t.Fatal("material restored under a truncation window")
+	}
 }

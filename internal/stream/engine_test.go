@@ -191,8 +191,9 @@ func TestSweepGridAndValidation(t *testing.T) {
 
 // TestSnapshotLRUEvictionFallback covers the non-tip snapshot path:
 // prefixes served from the LRU are the chain-assembled snapshots, and
-// a prefix that has fallen out of the LRU is reassembled from scratch
-// and renders byte-identically to the chain snapshot it replaced.
+// a prefix that has fallen out of the LRU is replayed through a fresh
+// assembly chain and renders byte-identically to the chain snapshot it
+// replaced.
 func TestSnapshotLRUEvictionFallback(t *testing.T) {
 	eng := newTestEngine(t, 4)
 	if err := eng.IngestAll(); err != nil {
@@ -221,7 +222,7 @@ func TestSnapshotLRUEvictionFallback(t *testing.T) {
 		}
 	}
 	// The reassembled non-tip prefixes are cached again: a second read
-	// returns the same *Study, not another from-scratch build.
+	// returns the same *Study, not another replay.
 	first, _ := eng.Snapshot(2)
 	second, _ := eng.Snapshot(2)
 	if first != second {
