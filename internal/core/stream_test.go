@@ -4,100 +4,93 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"cloudwatch/internal/netsim"
 )
 
+// equivalenceMatrix returns the (seed, year) cells the prefix-
+// equivalence suites sweep; -short keeps one cell.
+func equivalenceMatrix() (seeds []int64, years []int) {
+	if testing.Short() {
+		return []int64{42}, []int{2021}
+	}
+	return []int64{42, 7}, []int{2020, 2021, 2022}
+}
+
+var truncatedRenders = struct {
+	sync.Mutex
+	m map[string][]string
+}{m: map[string][]string{}}
+
+// truncatedRunRenders returns, indexed by prefix 1..epochs, the
+// rendered analyses of a from-scratch Run truncated to each epoch
+// bound (the last prefix is the full week). Each Run is checked record
+// by record against the reference generator in
+// TestGenerationEquivalence. The references are built once per cell at
+// the default worker count and shared by the suites that compare
+// against them, so every comparison also crosses worker counts.
+func truncatedRunRenders(t *testing.T, seed int64, year, epochs int) []string {
+	t.Helper()
+	key := fmt.Sprintf("%d/%d/%d", seed, year, epochs)
+	truncatedRenders.Lock()
+	defer truncatedRenders.Unlock()
+	if wants, ok := truncatedRenders.m[key]; ok {
+		return wants
+	}
+	cfg := testConfig(seed, year)
+	eb := netsim.NewEpochs(epochs)
+	wants := make([]string, epochs+1)
+	for p := 1; p <= epochs; p++ {
+		bcfg := cfg
+		if p < epochs {
+			bcfg.WindowSec = eb.Bound(p)
+		}
+		batch, err := Run(bcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[p] = renderAllAnalyses(batch)
+	}
+	for p := 2; p <= epochs; p++ {
+		if wants[p] == wants[p-1] {
+			t.Fatalf("prefixes %d and %d render identically — the windows are not truncating", p-1, p)
+		}
+	}
+	truncatedRenders.m[key] = wants
+	return wants
+}
+
 // TestStreamingSnapshotsMatchTruncatedRuns is the streaming
 // equivalence matrix: for seeds 42/7 × years 2020–2022 × generation
-// Workers 1/4/GOMAXPROCS, every epoch-prefix snapshot renders every
-// table, figure, and ablation byte-identically to a Run truncated to
-// the same window (checked record by record against the reference
-// generator in TestGenerationEquivalence), and the final snapshot
-// byte-identically to the full-week run. The truncated references are
-// built once per (seed, year) at the default worker count, so the
-// comparison also crosses worker counts. Both the assembly chain the
-// streaming engine ingests through and the replay Snapshot serves
-// evicted prefixes from are checked; every chain snapshot is rendered
-// only after the whole chain is assembled, which proves later appends
-// never disturb an earlier published snapshot (the chain shares column
-// backing arrays).
+// Workers 1/4/GOMAXPROCS, every epoch-prefix snapshot EpochSet.Snapshot
+// serves (the replay path for evicted prefixes) renders every table,
+// figure, and ablation byte-identically to a Run truncated to the same
+// window, and the final snapshot byte-identically to the full-week
+// run. The assembly chain the streaming engine ingests through is
+// checked against the same references in
+// TestIncrementalMatchesFromScratch.
 func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
-	seeds := []int64{42, 7}
-	years := []int{2020, 2021, 2022}
-	if testing.Short() {
-		seeds = seeds[:1]
-		years = []int{2021}
-	}
 	const epochs = 4
 	workersList := []int{1, 4, runtime.GOMAXPROCS(0)}
+	seeds, years := equivalenceMatrix()
 
 	for _, seed := range seeds {
 		for _, year := range years {
 			t.Run(fmt.Sprintf("seed%d-year%d", seed, year), func(t *testing.T) {
-				cfg := testConfig(seed, year)
-				eb := netsim.NewEpochs(epochs)
-
-				wants := make([]string, epochs+1)
-				for p := 1; p <= epochs; p++ {
-					bcfg := cfg
-					if p < epochs {
-						bcfg.WindowSec = eb.Bound(p)
-					}
-					batch, err := Run(bcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wants[p] = renderAllAnalyses(batch)
-				}
-				for p := 2; p <= epochs; p++ {
-					if wants[p] == wants[p-1] {
-						t.Fatalf("prefixes %d and %d render identically — the windows are not truncating", p-1, p)
-					}
-				}
-
+				wants := truncatedRunRenders(t, seed, year, epochs)
 				for _, workers := range workersList {
-					scfg := cfg
-					scfg.Workers = workers
-					es, err := GenerateEpochs(scfg, epochs)
+					cfg := testConfig(seed, year)
+					cfg.Workers = workers
+					es, err := GenerateEpochs(cfg, epochs)
 					if err != nil {
 						t.Fatal(err)
 					}
-
-					inc := es.Incremental()
-					if inc.Prefix() != 0 || inc.Tip() != nil {
-						t.Fatal("fresh assembler is not at prefix 0")
-					}
-					chain := make([]*Study, 0, epochs)
 					for p := 1; p <= epochs; p++ {
-						snap, err := inc.Advance()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if inc.Prefix() != p || inc.Tip() != snap {
-							t.Fatalf("after Advance #%d: Prefix=%d, Tip==snap %v", p, inc.Prefix(), inc.Tip() == snap)
-						}
-						chain = append(chain, snap)
-					}
-					if _, err := inc.Advance(); err == nil {
-						t.Fatal("Advance past the last epoch should error")
-					}
-					if r := inc.Repairs(); r > 0 {
-						t.Logf("workers=%d: %d verdict-flip repair(s)", workers, r)
-					}
-
-					for p := 1; p <= epochs; p++ {
-						if got := renderAllAnalyses(chain[p-1]); got != wants[p] {
-							t.Errorf("workers=%d prefix=%d: chain snapshot differs from truncated run", workers, p)
-						}
 						snap, err := es.Snapshot(p)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if snap.NumRecords() != chain[p-1].NumRecords() {
-							t.Errorf("workers=%d prefix=%d: replayed snapshot has %d records, chain %d",
-								workers, p, snap.NumRecords(), chain[p-1].NumRecords())
 						}
 						if got := renderAllAnalyses(snap); got != wants[p] {
 							t.Errorf("workers=%d prefix=%d: replayed snapshot differs from truncated run", workers, p)
