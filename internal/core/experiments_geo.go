@@ -143,7 +143,7 @@ func (s *Study) geoRegionFamily(slice ProtocolSlice, char Characteristic, k int)
 // view builds fan out across cores on the first request. Callers must
 // treat the result as read-only.
 func (s *Study) regionGroupView(region string, slice ProtocolSlice) *View {
-	return s.views.get(kindRegionGreyNoise, region, slice, func() *View {
+	return memoized(&s.views, viewCacheKey{kindRegionGreyNoise, region, slice}, func() *View {
 		var targets []*netsim.Target
 		for _, t := range s.U.Region(region) {
 			if t.Collector != netsim.CollectGreyNoise {

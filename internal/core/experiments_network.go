@@ -117,7 +117,7 @@ func (s *Study) Table7AtK(k int) Table7Result {
 // view builds fan out across cores on the first request. Callers must
 // treat the result as read-only.
 func (s *Study) anyRegionGroupView(region string, slice ProtocolSlice) *View {
-	return s.views.get(kindRegionAny, region, slice, func() *View {
+	return memoized(&s.views, viewCacheKey{kindRegionAny, region, slice}, func() *View {
 		return GroupView(s.vantageViews(s.U.Region(region), slice))
 	})
 }

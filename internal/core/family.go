@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"cloudwatch/internal/stats"
-)
+import "cloudwatch/internal/stats"
 
 // This file is the batched §3.3 family runner: every experiment that
 // compares vantage (or group) views pairwise — Tables 2/4/5/7/10 and
@@ -51,32 +47,15 @@ type famKey struct {
 	k     int
 }
 
-// famEntry is one family cache slot; the per-entry once lets distinct
-// families build in parallel while each builds exactly once.
-type famEntry struct {
-	once sync.Once
-	res  *familyResult
-}
-
 // pairwiseFamily returns the memoized comparison family for
 // (name, slice, char, k), building it at most once via build. The
 // build callback only runs on a cache miss, so callers must derive
 // per-pair metadata (region refs, geo groups) from the same canonical
 // order they would hand to the builder, not from builder side effects.
 func (s *Study) pairwiseFamily(name string, slice ProtocolSlice, char Characteristic, k int, build func() famJob) *familyResult {
-	key := famKey{name, slice, char, k}
-	s.famMu.Lock()
-	if s.famCache == nil {
-		s.famCache = map[famKey]*famEntry{}
-	}
-	e, ok := s.famCache[key]
-	if !ok {
-		e = &famEntry{}
-		s.famCache[key] = e
-	}
-	s.famMu.Unlock()
-	e.once.Do(func() { e.res = runFamily(build(), char, k) })
-	return e.res
+	return memoized(&s.families, famKey{name, slice, char, k}, func() *familyResult {
+		return runFamily(build(), char, k)
+	})
 }
 
 // famChunk is the number of pairs one worker processes per scratch
@@ -206,12 +185,6 @@ type summKey struct {
 	char Characteristic
 }
 
-// summEntry is one summary cache slot.
-type summEntry struct {
-	once sync.Once
-	sum  stats.TableSummary
-}
-
 // viewSummary returns the memoized TableSummary of one view's
 // characteristic table: the table ranked and totaled exactly once per
 // (view, characteristic), no matter how many families compare it. The
@@ -219,17 +192,7 @@ type summEntry struct {
 // (vantage|region, slice), so the pointer is a stable identity) rather
 // than on the View itself, keeping views plain data.
 func (s *Study) viewSummary(v *View, char Characteristic) stats.TableSummary {
-	key := summKey{v, char}
-	s.summMu.Lock()
-	if s.summCache == nil {
-		s.summCache = map[summKey]*summEntry{}
-	}
-	e, ok := s.summCache[key]
-	if !ok {
-		e = &summEntry{}
-		s.summCache[key] = e
-	}
-	s.summMu.Unlock()
-	e.once.Do(func() { e.sum = stats.Summarize(freqFor(v, char)) })
-	return e.sum
+	return memoized(&s.summaries, summKey{v, char}, func() stats.TableSummary {
+		return stats.Summarize(freqFor(v, char))
+	})
 }

@@ -259,13 +259,9 @@ func TestRecordPayloadsNeverAliasEmitterBuffers(t *testing.T) {
 func TestGeoFamilySharedBetweenTables4And5(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	_ = s.Table5()
-	s.famMu.Lock()
-	before := len(s.famCache)
-	s.famMu.Unlock()
+	before := s.families.Len()
 	_ = s.Table4()
-	s.famMu.Lock()
-	after := len(s.famCache)
-	s.famMu.Unlock()
+	after := s.families.Len()
 	if after != before {
 		t.Fatalf("Table4 built %d new families after Table5 (cache %d → %d); expected full reuse",
 			after-before, before, after)

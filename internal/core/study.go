@@ -12,9 +12,11 @@ import (
 	"cloudwatch/internal/fingerprint"
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/ids"
+	"cloudwatch/internal/memo"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/searchengine"
+	"cloudwatch/internal/stats"
 	"cloudwatch/internal/telescope"
 )
 
@@ -90,10 +92,13 @@ type Study struct {
 	payKey    []string
 	payProto  []fingerprint.Protocol
 
-	// The view and telescope-series caches, built lazily on first read.
-	views       viewCache
-	seriesMu    sync.Mutex
-	seriesCache map[uint16]*seriesEntry
+	// The analysis memos, built lazily on first read (viewcache.go):
+	// (vantage|region, slice) views, shared by every experiment on the
+	// same axis — Table 2/4/5/6/7, the ablations, the leak and
+	// neighborhood drivers — and the Figure 1 telescope per-address
+	// series per watched port. Memoized values are shared read-only.
+	views  memo.Cache[viewCacheKey, *View]
+	series memo.Cache[uint16, []int]
 
 	// The shared Table 4/5 geography pair list (experiments_geo.go),
 	// derived once from the immutable universe.
@@ -103,10 +108,8 @@ type Study struct {
 	// The §3.3 comparison-engine caches: per-(view, characteristic)
 	// ranked top-K summaries and per-(family, slice, characteristic, K)
 	// finished comparison families (family.go).
-	summMu    sync.Mutex
-	summCache map[summKey]*summEntry
-	famMu     sync.Mutex
-	famCache  map[famKey]*famEntry
+	summaries memo.Cache[summKey, stats.TableSummary]
+	families  memo.Cache[famKey, *familyResult]
 }
 
 // Run executes a full study: build the deployment, crawl the search

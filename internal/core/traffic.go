@@ -212,7 +212,7 @@ func ephemeralHeader(line []byte) bool {
 // requests — every experiment that shares an axis — return the same
 // *View. Callers must treat the result as read-only.
 func (s *Study) VantageView(id string, slice ProtocolSlice) *View {
-	return s.views.get(kindVantage, id, slice, func() *View {
+	return memoized(&s.views, viewCacheKey{kindVantage, id, slice}, func() *View {
 		return s.buildVantageView(id, slice)
 	})
 }

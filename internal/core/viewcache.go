@@ -1,6 +1,6 @@
 package core
 
-import "sync"
+import "cloudwatch/internal/memo"
 
 // viewKind distinguishes the cached view families: per-vantage views,
 // GreyNoise-only region group views (§4.4 median filter over the
@@ -20,62 +20,22 @@ type viewCacheKey struct {
 	slice ProtocolSlice
 }
 
-// viewEntry is one cache slot. The per-entry once lets concurrent
-// experiments build distinct views in parallel while each view is
-// computed exactly once.
-type viewEntry struct {
-	once sync.Once
-	view *View
-}
-
-// viewCache memoizes (vantage, slice) and (region, slice) views so
-// experiments sharing an axis — Table 2/4/5/6/7, the ablations, the
-// leak and neighborhood drivers — stop rebuilding identical views.
-// Cached views are shared: callers must treat them as read-only.
-type viewCache struct {
-	mu sync.Mutex
-	m  map[viewCacheKey]*viewEntry
-}
-
-// get returns the memoized view for key, building it at most once via
-// build. Concurrent gets of the same key block until the first build
-// finishes; gets of distinct keys proceed in parallel.
-func (c *viewCache) get(kind viewKind, name string, slice ProtocolSlice, build func() *View) *View {
-	key := viewCacheKey{kind, name, slice}
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[viewCacheKey]*viewEntry{}
+// memoized returns c's value for key, building it at most once via
+// build: concurrent callers of one key wait for the first build, while
+// distinct keys build in parallel. Analysis builds cannot fail; a
+// panicking one leaves the key empty for the next caller, and callers
+// that were waiting on it panic with memo.ErrBuildPanicked.
+func memoized[K comparable, V any](c *memo.Cache[K, V], key K, build func() V) V {
+	v, _, err := c.Get(key, func() (V, error) { return build(), nil })
+	if err != nil {
+		panic(err)
 	}
-	e, ok := c.m[key]
-	if !ok {
-		e = &viewEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.view = build() })
-	return e.view
-}
-
-// seriesEntry memoizes one telescope per-address series (Figure 1).
-type seriesEntry struct {
-	once   sync.Once
-	series []int
+	return v
 }
 
 // telescopeSeries returns the cached per-address unique-scanner series
 // of a watched port. The series is immutable once built; callers must
 // not modify it.
 func (s *Study) telescopeSeries(port uint16) []int {
-	s.seriesMu.Lock()
-	if s.seriesCache == nil {
-		s.seriesCache = map[uint16]*seriesEntry{}
-	}
-	e, ok := s.seriesCache[port]
-	if !ok {
-		e = &seriesEntry{}
-		s.seriesCache[port] = e
-	}
-	s.seriesMu.Unlock()
-	e.once.Do(func() { e.series = s.Tel.PerAddressSeries(s.U, port) })
-	return e.series
+	return memoized(&s.series, port, func() []int { return s.Tel.PerAddressSeries(s.U, port) })
 }

@@ -88,8 +88,8 @@ func (s *Service) RemoveExploit(src wire.Addr) {
 }
 
 // Clone returns a service with the same observation state. The three
-// aggregates are deep-copied, so extending the clone (Merge,
-// MergeDelta, ObserveExploit) never mutates the original — the
+// aggregates are deep-copied, so extending the clone (MergeDelta,
+// ObserveExploit) never mutates the original — the
 // incremental snapshot chain clones the previous prefix's service and
 // folds only the new epoch's deltas into the clone.
 func (s *Service) Clone() *Service {
@@ -104,44 +104,6 @@ func (s *Service) Clone() *Service {
 		seen:      maps.Clone(s.seen),
 	}
 	return n
-}
-
-// Merge folds another service's observations into s. All three
-// aggregates are sets, so merging per-worker deltas in any order
-// reaches the same state as serial observation — the property the
-// parallel study pipeline relies on. The snapshot of o is taken
-// before s locks, so concurrent merges — even cyclic ones — cannot
-// deadlock.
-func (s *Service) Merge(o *Service) {
-	if s == o {
-		return
-	}
-	o.mu.RLock()
-	vetted := make([]int, 0, len(o.vettedASN))
-	for asn := range o.vettedASN {
-		vetted = append(vetted, asn)
-	}
-	seen := make([]wire.Addr, 0, len(o.seen))
-	for src := range o.seen {
-		seen = append(seen, src)
-	}
-	exploited := make([]wire.Addr, 0, len(o.exploited))
-	for src := range o.exploited {
-		exploited = append(exploited, src)
-	}
-	o.mu.RUnlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, asn := range vetted {
-		s.vettedASN[asn] = true
-	}
-	for _, src := range seen {
-		s.seen[src] = true
-	}
-	for _, src := range exploited {
-		s.exploited[src] = true
-	}
 }
 
 // Delta is a lock-free observation accumulator for a single pipeline

@@ -55,68 +55,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalentToSerial splits one observation stream across two
-// shard services and checks the merged result matches serial
-// observation — the invariant the parallel study pipeline depends on.
-func TestMergeEquivalentToSerial(t *testing.T) {
-	serial := NewService()
-	a, b := NewService(), NewService()
-	for i := 0; i < 100; i++ {
-		ip := wire.Addr(uint32(i))
-		sh := a
-		if i%2 == 1 {
-			sh = b
-		}
-		serial.Observe(ip)
-		sh.Observe(ip)
-		if i%5 == 0 {
-			serial.ObserveExploit(ip)
-			sh.ObserveExploit(ip)
-		}
-	}
-	serial.VetASN(7)
-	a.VetASN(7)
-
-	merged := NewService()
-	merged.Merge(a)
-	merged.Merge(b)
-
-	mSeen, mExp, mVet := merged.Stats()
-	sSeen, sExp, sVet := serial.Stats()
-	if mSeen != sSeen || mExp != sExp || mVet != sVet {
-		t.Errorf("merged Stats = %d,%d,%d, want %d,%d,%d", mSeen, mExp, mVet, sSeen, sExp, sVet)
-	}
-	for i := 0; i < 100; i++ {
-		ip := wire.Addr(uint32(i))
-		if got, want := merged.Classify(ip, 7), serial.Classify(ip, 7); got != want {
-			t.Errorf("Classify(%d) = %v, want %v", i, got, want)
-		}
-	}
-}
-
-// TestMergeConcurrent merges shard deltas into one destination from
-// several goroutines; the destination's own lock must make that safe.
-func TestMergeConcurrent(t *testing.T) {
-	dst := NewService()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sh := NewService()
-			for j := 0; j < 100; j++ {
-				sh.Observe(wire.Addr(uint32(i*1000 + j)))
-			}
-			dst.Merge(sh)
-		}(i)
-	}
-	wg.Wait()
-	seen, _, _ := dst.Stats()
-	if seen != 8*100 {
-		t.Errorf("seen = %d, want %d", seen, 8*100)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewService()
 	var wg sync.WaitGroup

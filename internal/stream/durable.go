@@ -56,26 +56,13 @@ func Open(cfg Config, st *store.Store) (*Engine, error) {
 		store.RecoveryOutcome("regenerated")
 	}
 
-	eng := &Engine{
-		es:        es,
-		inc:       es.Incremental(),
-		st:        st,
-		recovered: recovered,
-	}
-	n := st.Ingested()
-	if n > es.NumEpochs() {
-		n = es.NumEpochs()
-	}
+	eng := newEngine(es)
+	eng.st, eng.recovered = st, recovered
+	n := min(st.Ingested(), es.NumEpochs())
 	for p := 1; p <= n; p++ {
-		snap, err := eng.inc.Advance()
-		if err != nil {
+		if err := eng.advance(); err != nil {
 			return nil, fmt.Errorf("stream: rehydrate epoch %d/%d: %w", p, n, err)
 		}
-		if eng.tip != nil {
-			eng.cache.put(p-1, eng.tip)
-		}
-		eng.tip = snap
-		eng.ingested = p
 	}
 	return eng, nil
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/memo"
 	"cloudwatch/internal/obs"
 	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/store"
@@ -31,7 +32,7 @@ import (
 // multi-engine sweeps simply sum).
 var (
 	mSnapHits = obs.Default().Counter("stream_snapshot_lru_hits_total",
-		"Non-tip snapshot requests served from the prefix-snapshot LRU.")
+		"Non-tip snapshot requests served from the prefix-snapshot LRU, including requests that joined another request's in-flight replay of the same prefix.")
 	mSnapMisses = obs.Default().Counter("stream_snapshot_lru_misses_total",
 		"Non-tip snapshot requests that fell out of the LRU and were replayed through a fresh assembly chain.")
 	mSnapEvictions = obs.Default().Counter("stream_snapshot_lru_evictions_total",
@@ -88,10 +89,10 @@ type Engine struct {
 	tip      *core.Study // snapshot of the full ingested prefix
 	ingested int
 
-	// cache retains recently used non-tip prefix snapshots (each keeps
+	// snaps retains recently used non-tip prefix snapshots (each keeps
 	// its own analysis caches warm). It is internally locked and never
 	// acquires mu, so it may be touched both under mu and outside it.
-	cache snapLRU
+	snaps *memo.Cache[int, *core.Study]
 }
 
 // snapCacheCap bounds how many non-tip prefix snapshots the engine
@@ -100,58 +101,6 @@ type Engine struct {
 // not pin one full Study per epoch in memory: older prefixes fall out
 // and are replayed through a fresh assembly chain on demand.
 const snapCacheCap = 16
-
-// snapLRU is a small least-recently-used set of prefix snapshots.
-// With at most snapCacheCap entries a slice scan beats any linked
-// structure; the zero value is ready to use.
-type snapLRU struct {
-	mu      sync.Mutex
-	entries []snapEntry // most recently used last
-}
-
-type snapEntry struct {
-	prefix int
-	snap   *core.Study
-}
-
-func (c *snapLRU) get(prefix int) *core.Study {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, ent := range c.entries {
-		if ent.prefix == prefix {
-			copy(c.entries[i:], c.entries[i+1:])
-			c.entries[len(c.entries)-1] = ent
-			return ent.snap
-		}
-	}
-	return nil
-}
-
-func (c *snapLRU) put(prefix int, snap *core.Study) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, ent := range c.entries {
-		if ent.prefix == prefix {
-			copy(c.entries[i:], c.entries[i+1:])
-			c.entries[len(c.entries)-1] = snapEntry{prefix, snap}
-			return
-		}
-	}
-	if len(c.entries) >= snapCacheCap {
-		copy(c.entries, c.entries[1:])
-		c.entries = c.entries[:len(c.entries)-1]
-		mSnapEvictions.Inc()
-	}
-	c.entries = append(c.entries, snapEntry{prefix, snap})
-	mSnapEntries.Set(int64(len(c.entries)))
-}
-
-// len returns the current entry count.
-func (c *snapLRU) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
 
 // New generates the epoch-partitioned study material (the expensive
 // step: one full pass of the sharded generators) and returns an engine
@@ -165,7 +114,16 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{es: es, inc: es.Incremental()}, nil
+	return newEngine(es), nil
+}
+
+// newEngine returns an engine over es with nothing ingested yet.
+func newEngine(es *core.EpochSet) *Engine {
+	return &Engine{
+		es:    es,
+		inc:   es.Incremental(),
+		snaps: memo.NewLRU[int, *core.Study](snapCacheCap, mSnapEvictions, mSnapEntries),
+	}
 }
 
 // NumEpochs returns the total number of epochs.
@@ -210,18 +168,9 @@ func (e *Engine) IngestNext() (prefix int, ok bool, err error) {
 	if p > e.es.NumEpochs() {
 		return p - 1, false, nil
 	}
-	snap, err := e.inc.Advance()
-	if err != nil {
+	if err := e.advance(); err != nil {
 		return p - 1, false, err
 	}
-	e.mu.Lock()
-	if e.tip != nil {
-		// The outgoing tip is now a non-tip prefix; keep it warm.
-		e.cache.put(p-1, e.tip)
-	}
-	e.tip = snap
-	e.ingested = p
-	e.mu.Unlock()
 	mEpochsIngested.Inc()
 	if e.st != nil {
 		// The in-memory ingest stands either way (the snapshot is
@@ -236,6 +185,25 @@ func (e *Engine) IngestNext() (prefix int, ok bool, err error) {
 	return p, true, nil
 }
 
+// advance assembles the next prefix snapshot and publishes it as the
+// tip; the outgoing tip is now a non-tip prefix, kept warm in the
+// snapshot LRU. The caller serializes ingestion (ingestMu, or sole
+// ownership of an engine under construction).
+func (e *Engine) advance() error {
+	snap, err := e.inc.Advance()
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.tip != nil {
+		e.snaps.Put(e.ingested, e.tip)
+	}
+	e.tip = snap
+	e.ingested++
+	return nil
+}
+
 // Recovered reports whether the engine's study was restored from its
 // durable store rather than generated (false for engines without a
 // store).
@@ -244,7 +212,7 @@ func (e *Engine) Recovered() bool { return e.recovered }
 // SnapCacheStats reports the snapshot LRU's occupancy and capacity
 // (the tip snapshot is held separately and not counted).
 func (e *Engine) SnapCacheStats() (entries, capacity int) {
-	return e.cache.len(), snapCacheCap
+	return e.snaps.Len(), e.snaps.Cap()
 }
 
 // Close releases the engine's durable store, if any. Snapshots remain
@@ -292,20 +260,16 @@ func (e *Engine) Snapshot(prefix int) (*core.Study, error) {
 	if prefix == ingested {
 		return tip, nil
 	}
-	if snap := e.cache.get(prefix); snap != nil {
+	// A prefix evicted from the LRU is replayed outside any engine
+	// lock; concurrent misses of one prefix share that one replay.
+	snap, how, err := e.snaps.Get(prefix, func() (*core.Study, error) {
+		mSnapMisses.Inc()
+		return e.es.Snapshot(prefix)
+	})
+	if how != memo.Built {
 		mSnapHits.Inc()
-		return snap, nil
 	}
-	mSnapMisses.Inc()
-	// Evicted from the LRU: replay the chain up to the prefix, outside
-	// any lock (concurrent misses may both replay; both results are
-	// valid and identical, and the second put just refreshes recency).
-	snap, err := e.es.Snapshot(prefix)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.put(prefix, snap)
-	return snap, nil
+	return snap, err
 }
 
 // SweepRequest selects the grid of one sweep: which §3.3 comparison

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/memo"
 )
 
 // testStudyConfig is the scaled-down study the package tests stream
@@ -208,10 +209,7 @@ func TestSnapshotLRUEvictionFallback(t *testing.T) {
 		}
 		want[p] = snap.Table2().Render() + snap.Table5().Render()
 	}
-	// Simulate every non-tip prefix falling out of the LRU.
-	eng.cache.mu.Lock()
-	eng.cache.entries = nil
-	eng.cache.mu.Unlock()
+	evictAll(eng)
 	for p := 1; p <= 4; p++ {
 		snap, err := eng.Snapshot(p)
 		if err != nil {
@@ -222,41 +220,59 @@ func TestSnapshotLRUEvictionFallback(t *testing.T) {
 		}
 	}
 	// The reassembled non-tip prefixes are cached again: a second read
-	// returns the same *Study, not another replay.
+	// returns the same *Study, not another replay, and allocates
+	// nothing (the serving hot path).
 	first, _ := eng.Snapshot(2)
 	second, _ := eng.Snapshot(2)
 	if first != second {
 		t.Fatal("reassembled snapshot was not cached")
 	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = eng.Snapshot(2) }); n != 0 {
+		t.Fatalf("%v allocs per snapshot-LRU hit, want 0", n)
+	}
 }
 
-// TestSnapLRU pins the cache's eviction and recency semantics.
-func TestSnapLRU(t *testing.T) {
-	var c snapLRU
-	mark := make([]*core.Study, snapCacheCap+2)
-	for i := range mark {
-		mark[i] = &core.Study{}
+// evictAll empties the engine's snapshot LRU, as if every non-tip
+// prefix had fallen out of it.
+func evictAll(eng *Engine) {
+	eng.snaps = memo.NewLRU[int, *core.Study](snapCacheCap, mSnapEvictions, mSnapEntries)
+}
+
+// TestConcurrentSnapshotMissesShareOneReplay: concurrent requests for
+// one evicted prefix share a single chain replay, so every caller gets
+// the same *core.Study and only one of them counts as a miss.
+func TestConcurrentSnapshotMissesShareOneReplay(t *testing.T) {
+	eng := newTestEngine(t, 4)
+	if err := eng.IngestAll(); err != nil {
+		t.Fatal(err)
 	}
-	for p := 1; p <= snapCacheCap; p++ {
-		c.put(p, mark[p])
+	evictAll(eng)
+	const n = 8
+	misses := mSnapMisses.Value()
+	snaps := make([]*core.Study, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			snap, err := eng.Snapshot(3)
+			if err != nil {
+				t.Error(err)
+			}
+			snaps[i] = snap
+		}(i)
 	}
-	if c.get(1) != mark[1] { // touch 1: now most recent
-		t.Fatal("miss on resident entry")
-	}
-	c.put(snapCacheCap+1, mark[snapCacheCap+1]) // evicts 2, not 1
-	if c.get(2) != nil {
-		t.Fatal("least-recently-used entry survived eviction")
-	}
-	for _, p := range []int{1, 3, snapCacheCap, snapCacheCap + 1} {
-		if c.get(p) != mark[p] {
-			t.Fatalf("entry %d missing after eviction of 2", p)
+	close(start)
+	wg.Wait()
+	for i, snap := range snaps {
+		if snap == nil || snap != snaps[0] {
+			t.Fatalf("caller %d got a different snapshot than caller 0", i)
 		}
 	}
-	// Re-putting a resident prefix refreshes it in place.
-	repl := &core.Study{}
-	c.put(3, repl)
-	if c.get(3) != repl || len(c.entries) != snapCacheCap {
-		t.Fatal("re-put did not replace in place")
+	if got := mSnapMisses.Value() - misses; got != 1 {
+		t.Fatalf("%d snapshot-LRU misses for one evicted prefix, want 1", got)
 	}
 }
 

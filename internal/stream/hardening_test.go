@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/memo"
 	"cloudwatch/internal/store"
 )
 
@@ -49,10 +50,9 @@ func TestServerDeferredEngineAttachment(t *testing.T) {
 }
 
 // TestServerRenderPanicReleasesWaiters is the singleflight-hang
-// satellite: a panicking render must close the entry's ready channel,
-// evict the entry, and answer 500 to the renderer AND every waiter —
-// then a later request re-renders successfully. Before the fix, the
-// waiters blocked forever on a channel nobody would ever close.
+// satellite: a panicking render must release every request waiting on
+// it, drop the cache entry, and answer 500 to the renderer AND every
+// waiter — then a later request re-renders successfully.
 func TestServerRenderPanicReleasesWaiters(t *testing.T) {
 	srv, ts := newTestServer(t)
 	if err := srv.Engine().IngestAll(); err != nil {
@@ -100,7 +100,7 @@ func TestServerRenderPanicReleasesWaiters(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("waiters hung on a panicked render (ready channel never closed)")
+		t.Fatal("waiters hung on a panicked render")
 	}
 	// The panicking flight answers 500; waiters that joined it answer
 	// 500 too; stragglers that arrived after eviction may have
@@ -114,7 +114,7 @@ func TestServerRenderPanicReleasesWaiters(t *testing.T) {
 		t.Fatalf("panic hook fired %d times", panics)
 	}
 
-	// The entry was evicted: the key renders again and serves fine.
+	// The entry was dropped: the key renders again and serves fine.
 	before := atomic.LoadInt32(&renders)
 	var resp snapshotResponse
 	getJSON(t, ts.URL+"/v1/snapshot/2/table2", http.StatusOK, &resp)
@@ -162,7 +162,7 @@ func TestServerRenderCacheLRU(t *testing.T) {
 	if err := srv.Engine().IngestAll(); err != nil {
 		t.Fatal(err)
 	}
-	srv.SetRenderCacheCap(2)
+	srv.renders = memo.NewLRU[renderKey, string](2, mRenderEvictions, mRenderEntries)
 	var renders int32
 	inner := srv.render
 	srv.render = func(s *core.Study, experiment string) (string, bool) {

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -10,11 +9,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/memo"
 	"cloudwatch/internal/obs"
 	"cloudwatch/internal/scanners"
 )
@@ -71,10 +70,6 @@ type Server struct {
 	// renders or inject panics.
 	render func(s *core.Study, experiment string) (string, bool)
 
-	// cacheCap bounds the render cache (entries, not bytes); set
-	// before serving via SetRenderCacheCap.
-	cacheCap int
-
 	// logger receives one structured line per request from the
 	// request-logging middleware (SetLogger to replace; defaults to a
 	// text handler on stderr).
@@ -84,46 +79,29 @@ type Server struct {
 	// before Handler is called (EnablePprof; the CLI's -pprof flag).
 	pprofOn bool
 
-	mu      sync.Mutex
-	renders map[renderKey]*renderEntry
-	lru     *list.List // *renderEntry, most recently touched at front
+	// renders caches rendered output per (prefix, experiment).
+	renders *memo.Cache[renderKey, string]
 }
 
-// DefaultRenderCacheCap bounds the render cache when
-// SetRenderCacheCap is not called: generous next to the default
-// 8-epoch × 12-experiment grid, small next to a hostile or
-// long-sweeping client.
-const DefaultRenderCacheCap = 256
+// renderCacheCap bounds the render cache (entries, not bytes):
+// generous next to the default 8-epoch × 12-experiment grid, small
+// next to a hostile or long-sweeping client.
+const renderCacheCap = 256
 
 type renderKey struct {
 	prefix     int
 	experiment string
 }
 
-// renderEntry is one cached render in singleflight form: the first
-// request for a key installs the entry and renders; concurrent
-// requests for the same key find it and wait on ready instead of
-// duplicating the work. If the render panics, failed is set before
-// ready closes and the entry is evicted so a later request retries.
-type renderEntry struct {
-	key    renderKey
-	elem   *list.Element
-	ready  chan struct{} // closed once out or failed is set
-	out    string
-	failed bool
-}
-
 // NewServer wraps an engine. A nil engine is allowed — handlers
 // return 503 until SetEngine attaches one.
 func NewServer(eng *Engine) *Server {
 	s := &Server{
-		render:   core.RenderExperiment,
-		cacheCap: DefaultRenderCacheCap,
-		logger:   slog.New(slog.NewTextHandler(os.Stderr, nil)),
-		renders:  map[renderKey]*renderEntry{},
-		lru:      list.New(),
+		render:  core.RenderExperiment,
+		logger:  slog.New(slog.NewTextHandler(os.Stderr, nil)),
+		renders: memo.NewLRU[renderKey, string](renderCacheCap, mRenderEvictions, mRenderEntries),
 	}
-	mRenderCap.Set(int64(s.cacheCap))
+	mRenderCap.Set(renderCacheCap)
 	if eng != nil {
 		s.eng.Store(eng)
 	}
@@ -148,21 +126,9 @@ func (s *Server) SetEngine(eng *Engine) { s.eng.Store(eng) }
 // ingestion loop drives it directly).
 func (s *Server) Engine() *Engine { return s.eng.Load() }
 
-// SetRenderCacheCap bounds the per-(prefix, experiment) render cache
-// to n entries, evicting least-recently-used renders beyond it. Call
-// before serving.
-func (s *Server) SetRenderCacheCap(n int) {
-	if n >= 1 {
-		s.cacheCap = n
-		mRenderCap.Set(int64(n))
-	}
-}
-
 // renderCacheStats reports the render cache's occupancy and capacity.
 func (s *Server) renderCacheStats() (entries, capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.renders), s.cacheCap
+	return s.renders.Len(), s.renders.Cap()
 }
 
 // SetSweepDefaults installs the sweep parameters /v1/sweep uses when a
@@ -425,73 +391,28 @@ func (s *Server) handleSnapshot(eng *Engine, w http.ResponseWriter, r *http.Requ
 		return
 	}
 
-	// Singleflight per (prefix, experiment): the first request installs
-	// the cache entry and renders; concurrent requests for the same key
-	// wait for that one render instead of duplicating it. Only the
-	// request that actually rendered reports cached=false. The cache is
-	// LRU-bounded (SetRenderCacheCap); an evicted key simply re-renders
-	// on its next request.
-	key := renderKey{prefix, experiment}
-	s.mu.Lock()
-	ent, cached := s.renders[key]
+	// Singleflight per (prefix, experiment): the first request renders
+	// and concurrent requests for the same key wait for that one render
+	// instead of duplicating it. Only the request that actually
+	// rendered reports cached=false. The cache is LRU-bounded; an
+	// evicted key simply re-renders on its next request, and so does a
+	// key whose render panicked (its waiters answer 500).
+	out, how, err := s.renders.Get(renderKey{prefix, experiment}, func() (string, error) {
+		mRenderMisses.Inc()
+		out, _ := s.render(snap, experiment) // name validated above
+		return out, nil
+	})
+	cached := how != memo.Built
 	if cached {
 		mRenderHits.Inc()
-		s.lru.MoveToFront(ent.elem)
-	} else {
-		mRenderMisses.Inc()
-		ent = &renderEntry{key: key, ready: make(chan struct{})}
-		ent.elem = s.lru.PushFront(ent)
-		s.renders[key] = ent
-		for len(s.renders) > s.cacheCap {
-			oldest := s.lru.Back()
-			evicted := oldest.Value.(*renderEntry)
-			s.lru.Remove(oldest)
-			delete(s.renders, evicted.key)
-			mRenderEvictions.Inc()
-		}
-		mRenderEntries.Set(int64(len(s.renders)))
 	}
-	s.mu.Unlock()
-	if cached {
-		// A hit whose entry is still rendering means this request is
-		// deduplicated onto an in-flight render — the singleflight win —
-		// as opposed to a settled entry served from memory. The
-		// non-blocking probe distinguishes the two.
-		select {
-		case <-ent.ready:
-		default:
-			mSingleflight.Inc()
-		}
-		<-ent.ready
-		if ent.failed {
-			writeError(w, http.StatusInternalServerError, "render failed; retry")
-			return
-		}
-	} else {
-		// If the render panics, release the waiters and evict the entry
-		// before the panic unwinds into the recovery middleware — a
-		// never-closed ready channel would hang every later request for
-		// this key forever.
-		done := false
-		defer func() {
-			if done {
-				return
-			}
-			ent.failed = true
-			close(ent.ready)
-			s.mu.Lock()
-			if s.renders[key] == ent { // don't evict a successor entry
-				s.lru.Remove(ent.elem)
-				delete(s.renders, key)
-				mRenderEntries.Set(int64(len(s.renders)))
-			}
-			s.mu.Unlock()
-		}()
-		ent.out, _ = s.render(snap, experiment) // name validated above
-		done = true
-		close(ent.ready)
+	if how == memo.Joined {
+		mSingleflight.Inc()
 	}
-	out := ent.out
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "render failed; retry")
+		return
+	}
 
 	_, end := eng.Window(prefix - 1)
 	writeJSON(w, http.StatusOK, snapshotResponse{

@@ -17,11 +17,11 @@ func persistTestCollector() *Collector {
 			Port: port, ASN: asn, Transport: wire.TCP,
 		}
 	}
-	c.Observe(probe(1, 100, 22, 64500))
-	c.Observe(probe(1, 101, 22, 64500))
-	c.Observe(probe(2, 100, 22, 64501))
-	c.Observe(probe(3, 200, 443, 64502)) // unwatched port
-	c.Observe(probe(4, 201, 80, 64502))
+	c.ObserveRun(probe(1, 100, 22, 64500), true, true)
+	c.ObserveRun(probe(1, 101, 22, 64500), true, true)
+	c.ObserveRun(probe(2, 100, 22, 64501), true, true)
+	c.ObserveRun(probe(3, 200, 443, 64502), true, true) // unwatched port
+	c.ObserveRun(probe(4, 201, 80, 64502), true, true)
 	c.Flush()
 	return c
 }

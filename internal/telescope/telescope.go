@@ -56,19 +56,13 @@ type Collector struct {
 
 	// Per-port lookup cache for the observe hot path: sweeps hammer
 	// one port for long stretches, so the three per-probe map lookups
-	// collapse to a port comparison. Valid only between Observe calls
-	// (single-goroutine use, per the type contract).
+	// collapse to a port comparison. Valid only between ObserveRun
+	// calls (single-goroutine use, per the type contract).
 	cachePort  uint16
 	cacheOK    bool
 	cacheSrcs  map[wire.Addr]struct{}
 	cacheFreq  stats.Freq
 	cacheWatch *watchLog // nil when port unwatched
-
-	// Source-repeat cache: a sweep emits long runs of probes from one
-	// source to one port, so the unique-source set insert is skipped
-	// while the (port, src) pair repeats.
-	cacheSrc   wire.Addr
-	cacheSrcOK bool
 
 	// Per-AS deferred count: consecutive probes come from one actor
 	// (one AS), so AS-frequency increments accumulate in a plain
@@ -98,49 +92,23 @@ func New(watchPorts ...uint16) *Collector {
 	}
 }
 
-// Observe records the first packet of a probe. Telescopes do not
+// ObserveRun records the first packet of a probe. Telescopes do not
 // complete handshakes, so payloads and credentials are dropped by
 // construction. The probe is borrowed for the duration of the call:
 // callers may reuse the pointed-to value, and the collector keeps only
 // scalar fields.
-func (c *Collector) Observe(p *netsim.Probe) {
-	c.packets++
-	if !c.cacheOK || p.Port != c.cachePort {
-		c.fillPortCache(p.Port)
-	}
-	if !c.cacheSrcOK || p.Src != c.cacheSrc {
-		c.cacheSrcs[p.Src] = struct{}{}
-		c.cacheSrc, c.cacheSrcOK = p.Src, true
-	}
-
-	if p.ASN != c.cacheASN || !c.asValid {
-		c.flushAS()
-		c.cacheASN = p.ASN
-		c.asValid = true
-		if as, found := netsim.LookupAS(p.ASN); found {
-			c.cacheKey = as.Key()
-		} else {
-			c.cacheKey = "unknown"
-		}
-	}
-	c.pending++
-
-	if log := c.cacheWatch; log != nil {
-		log.observe(p.Dst, p.Src)
-	}
-}
-
-// ObserveRun is Observe for callers that track (port, src[, dst]) runs
-// themselves — the streaming engine's epoch shards see every probe of a
-// worker and dedup runs across that worker's per-epoch collectors,
-// where each collector's own run caches would miss (a run's probes
+//
+// Callers track (port, src[, dst]) runs themselves — the streaming
+// engine's epoch shards see every probe of a worker and dedup runs
+// across that worker's per-epoch collectors (a run's probes
 // round-robin across epochs, so no single collector sees the
 // repetition). srcNew=false promises p.Src is already in this
 // collector's port-src set for p.Port within the current run;
 // pairNew=false promises the (p.Dst, p.Src) pair is already in this
 // collector's watch log for p.Port. Packet and AS-frequency counting
 // are never skipped — only the idempotent set insert and the watch-log
-// append, so the aggregated state is identical to per-probe Observe.
+// append, so ObserveRun(p, true, true) on every probe reaches the same
+// aggregated state.
 func (c *Collector) ObserveRun(p *netsim.Probe, srcNew, pairNew bool) {
 	c.packets++
 	if !c.cacheOK || p.Port != c.cachePort {
@@ -148,7 +116,6 @@ func (c *Collector) ObserveRun(p *netsim.Probe, srcNew, pairNew bool) {
 	}
 	if srcNew {
 		c.cacheSrcs[p.Src] = struct{}{}
-		c.cacheSrc, c.cacheSrcOK = p.Src, true
 	}
 
 	if p.ASN != c.cacheASN || !c.asValid {
@@ -187,7 +154,6 @@ func (c *Collector) flushAS() {
 func (c *Collector) fillPortCache(port uint16) {
 	c.flushAS()
 	c.asValid = false
-	c.cacheSrcOK = false
 	srcs, ok := c.srcsByPort[port]
 	if !ok {
 		srcs = map[wire.Addr]struct{}{}
@@ -214,7 +180,7 @@ func (c *Collector) fillPortCache(port uint16) {
 func (c *Collector) Packets() int { return c.packets }
 
 // Flush folds any deferred per-run aggregation into the tables. After
-// Flush, and as long as no further Observe calls happen, the collector
+// Flush, and as long as no further ObserveRun calls happen, the collector
 // is pure data: Merge sources and every reader are write-free, so a
 // sealed collector may feed concurrent merges (the streaming engine
 // seals its per-epoch collectors once generation finishes).

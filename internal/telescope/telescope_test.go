@@ -30,10 +30,10 @@ func mkProbe(src, dst string, port uint16, asn int) *netsim.Probe {
 
 func TestCollectorAggregation(t *testing.T) {
 	c := New(22)
-	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
-	c.Observe(mkProbe("1.1.1.1", "100.64.0.6", 22, 4134)) // same src, 2nd dst
-	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
-	c.Observe(mkProbe("3.3.3.3", "100.64.1.9", 80, 174)) // unwatched port
+	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
+	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.6", 22, 4134), true, true) // same src, 2nd dst
+	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
+	c.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 80, 174), true, true) // unwatched port
 
 	if c.Packets() != 4 {
 		t.Errorf("packets = %d", c.Packets())
@@ -60,7 +60,7 @@ func TestCollectorAggregation(t *testing.T) {
 
 func TestCollectorUnknownAS(t *testing.T) {
 	c := New()
-	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 999999))
+	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 999999), true, true)
 	if got := c.ASFrequencies(22)["unknown"]; got != 1 {
 		t.Errorf("unknown AS count = %v", got)
 	}
@@ -70,10 +70,10 @@ func TestPerAddressSeries(t *testing.T) {
 	u := telUniverse(t)
 	c := New(445)
 	// Three distinct scanners on .5 of block 0; one on .9 of block 1.
-	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 445, 4134))
-	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134))
-	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134)) // repeat: same src
-	c.Observe(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134))
+	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 445, 4134), true, true)
+	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134), true, true)
+	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134), true, true) // repeat: same src
+	c.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134), true, true)
 
 	series := c.PerAddressSeries(u, 445)
 	if len(series) != 512 {
@@ -128,15 +128,15 @@ func TestCollectorMergeEquivalentToSerial(t *testing.T) {
 
 	serial := New(22, 445)
 	for _, p := range probes {
-		serial.Observe(p)
+		serial.ObserveRun(p, true, true)
 	}
 
 	a, b := New(22, 445), New(22, 445)
 	for i, p := range probes {
 		if i%2 == 0 {
-			a.Observe(p)
+			a.ObserveRun(p, true, true)
 		} else {
-			b.Observe(p)
+			b.ObserveRun(p, true, true)
 		}
 	}
 	merged := New(22, 445)
@@ -180,10 +180,10 @@ func TestCollectorMergeEquivalentToSerial(t *testing.T) {
 // copies rather than aliases the source's maps.
 func TestCollectorMergeIntoEmpty(t *testing.T) {
 	a := New(22)
-	a.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
+	a.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
 	merged := New(22)
 	merged.Merge(a)
-	merged.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
+	merged.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
 	if a.UniqueSourceCount(22) != 1 {
 		t.Errorf("merge aliased source collector: %d srcs", a.UniqueSourceCount(22))
 	}
@@ -208,7 +208,7 @@ func TestWatchedPorts(t *testing.T) {
 
 func TestCollectorSelfMergeNoOp(t *testing.T) {
 	c := New(22)
-	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
+	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
 	c.Merge(c)
 	if c.Packets() != 1 {
 		t.Errorf("self-merge changed packets: %d, want 1", c.Packets())
@@ -233,7 +233,7 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 		mkProbe("10.0.0.1", "1.1.1.1", 22, 4134),
 	}
 	for _, p := range probes {
-		c.Observe(p)
+		c.ObserveRun(p, true, true)
 	}
 	f := c.ASFrequencies(22)
 	chinanet := netsim.MustAS(4134).Key()
@@ -251,10 +251,10 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 	// Merge flushes pending runs on both sides.
 	a, b := New(22), New(22)
 	for _, p := range probes[:3] {
-		a.Observe(p)
+		a.ObserveRun(p, true, true)
 	}
 	for _, p := range probes[3:] {
-		b.Observe(p)
+		b.ObserveRun(p, true, true)
 	}
 	a.Merge(b)
 	got := a.ASFrequencies(22)
@@ -275,8 +275,8 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 func TestMergedCollectorConcurrentReads(t *testing.T) {
 	shard := New(22)
 	for i := 0; i < 50; i++ {
-		shard.Observe(mkProbe("10.0.0.1", "1.1.1.1", 22, 4134))
-		shard.Observe(mkProbe("10.0.0.2", "1.1.1.2", 23, 16276))
+		shard.ObserveRun(mkProbe("10.0.0.1", "1.1.1.1", 22, 4134), true, true)
+		shard.ObserveRun(mkProbe("10.0.0.2", "1.1.1.2", 23, 16276), true, true)
 	}
 	merged := New(22)
 	merged.Merge(shard)
@@ -305,9 +305,9 @@ func TestMergedCollectorConcurrentReads(t *testing.T) {
 func TestCollectorCloneIsolation(t *testing.T) {
 	u := telUniverse(t)
 	orig := New(22, 445)
-	orig.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
-	orig.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
-	orig.Observe(mkProbe("2.2.2.2", "100.64.1.9", 445, 174))
+	orig.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
+	orig.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
+	orig.ObserveRun(mkProbe("2.2.2.2", "100.64.1.9", 445, 174), true, true)
 	orig.Flush()
 
 	clone := orig.Clone()
@@ -329,8 +329,8 @@ func TestCollectorCloneIsolation(t *testing.T) {
 
 	// Extend the clone with a new shard; the original must not move.
 	shard := New(22, 445)
-	shard.Observe(mkProbe("3.3.3.3", "100.64.0.7", 22, 4134))
-	shard.Observe(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134))
+	shard.ObserveRun(mkProbe("3.3.3.3", "100.64.0.7", 22, 4134), true, true)
+	shard.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134), true, true)
 	clone.Merge(shard)
 
 	if orig.Packets() != 3 || clone.Packets() != 5 {
