@@ -62,26 +62,6 @@ const Alpha = 0.05
 // ErrNoData reports a comparison with too little traffic to test.
 var ErrNoData = errors.New("core: not enough traffic to compare")
 
-// Compare runs the §3.3 chi-squared comparison of one characteristic
-// between two views: union of each side's top-3 values, contingency
-// table, chi-squared statistic, Cramér's V. It is the single-pair
-// counterpart of the family runner (family.go) and shares its
-// characteristic dispatch (freqFor) and CharFracMalicious semantics
-// (compareFracMalicious).
-func Compare(a, b *View, char Characteristic) (stats.ChiSquareResult, error) {
-	if char == CharFracMalicious {
-		return compareFracMalicious(a.Malicious, a.Benign, a.Total, b.Malicious, b.Benign, b.Total)
-	}
-	fa, fb := freqFor(a, char), freqFor(b, char)
-	if fa == nil || fb == nil {
-		return stats.ChiSquareResult{}, fmt.Errorf("core: unknown characteristic %v", char)
-	}
-	if fa.Total() == 0 || fb.Total() == 0 {
-		return stats.ChiSquareResult{}, ErrNoData
-	}
-	return stats.CompareTopK(TopK, fa, fb)
-}
-
 // compareFracMalicious is the single copy of the CharFracMalicious
 // comparison: the 2×2 malicious/benign test with the §3.3 zero-margin
 // convention, over each side's (malicious, benign, total) counts.

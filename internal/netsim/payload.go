@@ -95,16 +95,3 @@ func PayloadCount() int {
 	payloadInterner.RUnlock()
 	return n
 }
-
-// LookupPayload returns the id of an already-interned payload without
-// registering unseen ones — the read-only probe for records built
-// outside the simulator (daemons, raw test probes).
-func LookupPayload(p []byte) (PayloadID, bool) {
-	if len(p) == 0 {
-		return 0, true
-	}
-	payloadInterner.RLock()
-	id, ok := payloadInterner.byContent[string(p)]
-	payloadInterner.RUnlock()
-	return id, ok
-}

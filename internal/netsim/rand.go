@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -116,35 +115,6 @@ func splitmix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
-}
-
-// Poisson draws a Poisson-distributed count with mean lambda. Small
-// means use Knuth's product method; large means use the normal
-// approximation, which is adequate for traffic-volume generation.
-func Poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= rng.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-			if k > 10000 { // numerical safety net
-				return k
-			}
-		}
-	}
-	v := lambda + math.Sqrt(lambda)*rng.NormFloat64()
-	if v < 0 {
-		return 0
-	}
-	return int(math.Round(v))
 }
 
 // PickWeighted returns an index in [0, len(weights)) with probability

@@ -4,9 +4,8 @@
 // exposition), cheap stage tracing with a bounded ring of recent spans,
 // an HTTP request-logging middleware over log/slog, and the build
 // version stamp. Everything instruments without changing instrumented
-// output: metrics are side channels, and a disabled tracer
-// (SetEnabled(false)) turns spans into no-ops so benchmarks can price
-// the instrumentation itself.
+// output: metrics are side channels, and spans are per stage
+// invocation, never per record.
 package obs
 
 import (

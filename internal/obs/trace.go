@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,8 +14,9 @@ import (
 // End, one histogram observation plus one slot write in a bounded ring
 // of recent spans — nothing allocates after the ring fills. Spans are
 // per-stage-invocation (per epoch, per render), never per record, so
-// tracing is always-on by default; SetEnabled(false) turns StartStage
-// into a no-op for benchmarks that price the instrumentation.
+// tracing is always on. Counter gates in internal/core and
+// internal/stream pin the span count per stage and zero allocations
+// per span.
 
 // Stage names used across the pipeline. Instrumentation sites and the
 // docs both reference these constants so the names cannot drift.
@@ -31,20 +31,6 @@ const (
 // StageHistogramName is the histogram family every span observes into,
 // labeled by stage.
 const StageHistogramName = "stage_duration_seconds"
-
-// enabled gates span creation. Metrics (counters, gauges, direct
-// histogram observations) are not gated — they are single atomic ops
-// on paths that run per epoch or per request, never per record.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns stage tracing on or off process-wide. Off, spans
-// record nothing and cost one atomic load.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether stage tracing is on.
-func Enabled() bool { return enabled.Load() }
 
 // SpanRecord is one finished span in the ring.
 type SpanRecord struct {
@@ -184,7 +170,7 @@ func (t *Tracer) Summary() []StageSummary {
 }
 
 // WriteSummary prints the per-stage breakdown as one `trace:` line per
-// stage — the -trace CLI output, parseable by scripts/bench.sh.
+// stage — the -trace CLI output.
 func (t *Tracer) WriteSummary(w io.Writer) {
 	rows := t.Summary()
 	if len(rows) == 0 {
@@ -198,8 +184,7 @@ func (t *Tracer) WriteSummary(w io.Writer) {
 	}
 }
 
-// Span is one in-flight stage timer. The zero Span (tracing disabled)
-// ends as a no-op.
+// Span is one in-flight stage timer, opened by StartStage.
 type Span struct {
 	tracer *Tracer
 	hist   *Histogram
@@ -229,17 +214,11 @@ func stageHistogram(stage string) *Histogram {
 // StartStage opens a span on the default tracer; End records it into
 // the stage_duration_seconds histogram and the trace ring.
 func StartStage(stage string) Span {
-	if !enabled.Load() {
-		return Span{}
-	}
 	return Span{tracer: defaultTracer, hist: stageHistogram(stage), stage: stage, start: time.Now()}
 }
 
 // End finishes the span.
 func (sp Span) End() {
-	if sp.tracer == nil {
-		return
-	}
 	d := time.Since(sp.start)
 	sp.hist.ObserveDuration(d)
 	sp.tracer.record(SpanRecord{Stage: sp.stage, Start: sp.start, DurationMS: d.Seconds() * 1e3})

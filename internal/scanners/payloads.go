@@ -212,9 +212,6 @@ var (
 // TelnetDictGlobal returns the global telnet dictionary.
 func TelnetDictGlobal() []netsim.Credential { return telnetUsersGlobal }
 
-// TelnetDictHuaweiAU returns the Australia-targeted Huawei dictionary.
-func TelnetDictHuaweiAU() []netsim.Credential { return telnetUsersHuaweiAU }
-
 // sshCredsByFlavor memoizes the per-flavor campaign dictionaries:
 // several actors draw from them per probe, so they are built once at
 // init instead of per call.

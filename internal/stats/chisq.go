@@ -205,44 +205,3 @@ func Magnitude(v float64, dfStar int) EffectMagnitude {
 		return EffectNone
 	}
 }
-
-// ChiSquareGoodnessOfFit tests observed counts against expected
-// proportions (which are normalized internally). It is used for
-// single-distribution checks such as "is traffic uniform across
-// neighboring IPs".
-func ChiSquareGoodnessOfFit(observed []float64, expectedProportions []float64) (ChiSquareResult, error) {
-	k := len(observed)
-	if k < 2 || len(expectedProportions) != k {
-		return ChiSquareResult{}, ErrTableShape
-	}
-	total := 0.0
-	propSum := 0.0
-	for i := 0; i < k; i++ {
-		if observed[i] < 0 || expectedProportions[i] <= 0 {
-			return ChiSquareResult{}, fmt.Errorf("stats: invalid cell %d (observed=%v, proportion=%v)", i, observed[i], expectedProportions[i])
-		}
-		total += observed[i]
-		propSum += expectedProportions[i]
-	}
-	if total == 0 {
-		return ChiSquareResult{}, ErrTableEmpty
-	}
-	stat := 0.0
-	for i := 0; i < k; i++ {
-		expected := total * expectedProportions[i] / propSum
-		d := observed[i] - expected
-		stat += d * d / expected
-	}
-	df := k - 1
-	p, err := ChiSquareSurvival(stat, df)
-	if err != nil {
-		return ChiSquareResult{}, err
-	}
-	v := math.Sqrt(stat / (total * float64(df)))
-	if v > 1 {
-		v = 1
-	}
-	res := ChiSquareResult{Statistic: stat, DF: df, P: p, N: int(math.Round(total)), CramersV: v}
-	res.Magnitude = Magnitude(v, df)
-	return res, nil
-}

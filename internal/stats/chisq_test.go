@@ -224,32 +224,3 @@ func TestSignificantWithBonferroni(t *testing.T) {
 		t.Error("p=0.01 should NOT be significant at alpha=0.05, m=10 (cutoff 0.005)")
 	}
 }
-
-func TestChiSquareGoodnessOfFitUniform(t *testing.T) {
-	res, err := ChiSquareGoodnessOfFit([]float64{25, 25, 25, 25}, []float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Statistic > 1e-9 || res.P < 0.999 {
-		t.Errorf("uniform fit: chi2=%v p=%v", res.Statistic, res.P)
-	}
-	res, err = ChiSquareGoodnessOfFit([]float64{90, 10, 0, 0}, []float64{1, 1, 1, 1})
-	if err == nil && res.P > 1e-6 {
-		t.Errorf("extreme fit should be significant: p=%v", res.P)
-	}
-}
-
-func TestChiSquareGoodnessOfFitErrors(t *testing.T) {
-	if _, err := ChiSquareGoodnessOfFit([]float64{1}, []float64{1}); err != ErrTableShape {
-		t.Errorf("short input: %v", err)
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, 2}, []float64{1}); err != ErrTableShape {
-		t.Errorf("mismatched: %v", err)
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{0, 0}, []float64{1, 1}); err != ErrTableEmpty {
-		t.Errorf("empty: %v", err)
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, 2}, []float64{0, 1}); err == nil {
-		t.Error("zero proportion should error")
-	}
-}

@@ -25,7 +25,7 @@ func tinyConfig(seed int64, year int) core.Config {
 
 const tinyEpochs = 2
 
-func generateTiny(t *testing.T) (core.Config, *core.StudyMaterial) {
+func generateTiny(t testing.TB) (core.Config, *core.StudyMaterial) {
 	t.Helper()
 	cfg := tinyConfig(42, 2021)
 	es, err := core.GenerateEpochs(cfg, tinyEpochs)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/obs"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -190,6 +191,25 @@ func TestServerSweepTablesParsing(t *testing.T) {
 	if !strings.Contains(e.Error, "bogus") || !strings.Contains(e.Error, "table10") {
 		t.Fatalf("bad-table error should name the part and the valid tables: %q", e.Error)
 	}
+}
+
+// TestServerSweepBoundsK checks that an absurd kmax is refused up front
+// with the bound named, before any table renders.
+func TestServerSweepBoundsK(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if _, _, err := srv.Engine().IngestNext(); err != nil {
+		t.Fatal(err)
+	}
+	before := stageCounts()[obs.StageTableRender]
+	var e errorResponse
+	getJSON(t, ts.URL+"/v1/sweep?kmax=1000000000", http.StatusBadRequest, &e)
+	if want := fmt.Sprintf("k_max <= %d", maxSweepK); !strings.Contains(e.Error, want) {
+		t.Fatalf("error %q does not name the bound (%s)", e.Error, want)
+	}
+	if n := stageCounts()[obs.StageTableRender] - before; n != 0 {
+		t.Fatalf("refused sweep rendered %d tables", n)
+	}
+	getJSON(t, ts.URL+fmt.Sprintf("/v1/sweep?tables=table2&kmin=%d&kmax=%d", maxSweepK, maxSweepK), http.StatusOK, nil)
 }
 
 // TestServerSnapshotSingleflight fires concurrent requests at one cold

@@ -158,10 +158,3 @@ func (b Block) Index(a Addr) (int, bool) {
 
 // String renders CIDR notation.
 func (b Block) String() string { return fmt.Sprintf("%s/%d", b.Base, b.Bits) }
-
-// SlashBlock returns the enclosing /bits network of a.
-func SlashBlock(a Addr, bits int) Block {
-	b := Block{Base: a, Bits: bits}
-	b.Base = a & b.mask()
-	return b
-}

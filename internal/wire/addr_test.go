@@ -142,22 +142,11 @@ func TestBlockNthPanicsOutside(t *testing.T) {
 	MustParseBlock("10.0.0.0/30").Nth(4)
 }
 
-func TestSlashBlock(t *testing.T) {
-	b := SlashBlock(MustParseAddr("172.16.99.42"), 16)
-	if b.Base != MustParseAddr("172.16.0.0") || b.Bits != 16 {
-		t.Errorf("SlashBlock = %v", b)
-	}
-	// /0 contains everything.
-	z := SlashBlock(MustParseAddr("1.2.3.4"), 0)
-	if !z.Contains(MustParseAddr("250.250.250.250")) {
-		t.Error("/0 should contain all addresses")
-	}
-}
-
 func TestBlockContainsNthRoundTripProperty(t *testing.T) {
 	f := func(v uint32, bitsRaw uint8) bool {
 		bits := 8 + int(bitsRaw%25) // /8../32
-		b := SlashBlock(Addr(v), bits)
+		b := Block{Bits: bits}
+		b.Base = Addr(v) & b.mask()
 		for _, i := range []int{0, b.Size() - 1, b.Size() / 2} {
 			a := b.Nth(i)
 			if !b.Contains(a) {

@@ -87,53 +87,3 @@ type Packet struct {
 func (p Packet) IsSYN() bool {
 	return p.Proto == TCP && p.Flags.Has(FlagSYN) && !p.Flags.Has(FlagACK)
 }
-
-// Endpoint is a hashable (address, port) pair, usable as a map key.
-type Endpoint struct {
-	Addr Addr
-	Port uint16
-}
-
-// String renders "addr:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
-
-// Flow is an ordered (src, dst) endpoint pair, usable as a map key.
-type Flow struct {
-	Src Endpoint
-	Dst Endpoint
-}
-
-// FlowOf extracts the flow of a packet.
-func FlowOf(p Packet) Flow {
-	return Flow{
-		Src: Endpoint{Addr: p.Src, Port: p.SrcPort},
-		Dst: Endpoint{Addr: p.Dst, Port: p.DstPort},
-	}
-}
-
-// Reverse returns the opposite-direction flow.
-func (f Flow) Reverse() Flow { return Flow{Src: f.Dst, Dst: f.Src} }
-
-// String renders "src -> dst".
-func (f Flow) String() string { return fmt.Sprintf("%s -> %s", f.Src, f.Dst) }
-
-// FastHash returns a symmetric non-cryptographic hash: f and
-// f.Reverse() hash identically, so bidirectional traffic of one
-// conversation lands in the same bucket (the gopacket Flow.FastHash
-// contract).
-func (f Flow) FastHash() uint64 {
-	a := endpointHash(f.Src)
-	b := endpointHash(f.Dst)
-	if a > b {
-		a, b = b, a
-	}
-	// fnv-style mix of the ordered pair.
-	h := uint64(1469598103934665603)
-	h = (h ^ a) * 1099511628211
-	h = (h ^ b) * 1099511628211
-	return h
-}
-
-func endpointHash(e Endpoint) uint64 {
-	return uint64(e.Addr)<<16 | uint64(e.Port)
-}

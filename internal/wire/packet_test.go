@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTransportString(t *testing.T) {
 	if TCP.String() != "tcp" || UDP.String() != "udp" {
@@ -39,62 +36,5 @@ func TestIsSYN(t *testing.T) {
 	udp := Packet{Proto: UDP, Flags: FlagSYN}
 	if udp.IsSYN() {
 		t.Error("UDP packet should not be IsSYN")
-	}
-}
-
-func TestFlowBasics(t *testing.T) {
-	p := Packet{
-		Src: MustParseAddr("10.0.0.1"), SrcPort: 1234,
-		Dst: MustParseAddr("10.0.0.2"), DstPort: 80,
-	}
-	f := FlowOf(p)
-	if f.Src.String() != "10.0.0.1:1234" || f.Dst.String() != "10.0.0.2:80" {
-		t.Errorf("flow endpoints: %v", f)
-	}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src {
-		t.Errorf("Reverse broken: %v", r)
-	}
-	if f.String() != "10.0.0.1:1234 -> 10.0.0.2:80" {
-		t.Errorf("String = %q", f.String())
-	}
-	// Flows must be usable as map keys.
-	m := map[Flow]int{f: 1}
-	if m[FlowOf(p)] != 1 {
-		t.Error("flow map lookup failed")
-	}
-}
-
-func TestFlowFastHashSymmetricProperty(t *testing.T) {
-	f := func(a, b uint32, pa, pb uint16) bool {
-		fl := Flow{
-			Src: Endpoint{Addr: Addr(a), Port: pa},
-			Dst: Endpoint{Addr: Addr(b), Port: pb},
-		}
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFlowFastHashDiscriminates(t *testing.T) {
-	// Not a strict requirement, but hash should separate obviously
-	// different flows in a small sample.
-	seen := map[uint64]bool{}
-	collisions := 0
-	for i := 0; i < 1000; i++ {
-		fl := Flow{
-			Src: Endpoint{Addr: Addr(i * 2654435761), Port: uint16(i)},
-			Dst: Endpoint{Addr: Addr(i*40503 + 7), Port: uint16(i + 1)},
-		}
-		h := fl.FastHash()
-		if seen[h] {
-			collisions++
-		}
-		seen[h] = true
-	}
-	if collisions > 5 {
-		t.Errorf("%d hash collisions in 1000 flows", collisions)
 	}
 }
