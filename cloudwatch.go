@@ -28,8 +28,8 @@ import (
 	"cloudwatch/internal/stream"
 )
 
-// StudyConfig assembles a full study: vantage deployment, actor
-// population, and telescope watch ports.
+// StudyConfig assembles a full study: seed, year, actor population
+// scale and scenario, vantage deployment, and execution parameters.
 type StudyConfig = core.Config
 
 // Study is a completed collection week plus everything the analysis
@@ -39,10 +39,6 @@ type Study = core.Study
 
 // DeployConfig sizes the vantage-point deployment (Table 1 layout).
 type DeployConfig = cloud.Config
-
-// ActorConfig sizes the simulated scanner population and selects its
-// Scenario (see Scenarios).
-type ActorConfig = scanners.Config
 
 // Scenario describes one registered adversarial world: id, one-line
 // description, and the actor-mix builder.
@@ -67,7 +63,7 @@ func RegisterScenario(s Scenario) { scanners.RegisterScenario(s) }
 // named scenario.
 func ScenarioStudy(seed int64, year int, scenario string) StudyConfig {
 	cfg := core.DefaultConfig(seed, year)
-	cfg.Actors.Scenario = scenario
+	cfg.Scenario = scenario
 	return cfg
 }
 
@@ -85,7 +81,7 @@ func QuickStudy(seed int64, year int) StudyConfig {
 	cfg.Deploy.TelescopeSlash24s = 32
 	cfg.Deploy.HoneytrapPerCloud = 16
 	cfg.Deploy.HurricaneIPs = 16
-	cfg.Actors.Scale = 0.35
+	cfg.Scale = 0.35
 	return cfg
 }
 

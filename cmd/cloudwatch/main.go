@@ -62,8 +62,8 @@ func rendersFigure1(experiment string, serve bool) bool {
 // requested.
 func studyConfig(seed int64, year int, scale float64, full bool, workers int, experiment, scenario string, serve bool) (core.Config, string) {
 	cfg := core.DefaultConfig(seed, year)
-	cfg.Actors.Scale = scale
-	cfg.Actors.Scenario = scanners.CanonicalScenario(scenario)
+	cfg.Scale = scale
+	cfg.Scenario = scenario
 	cfg.Workers = workers
 	deployment := "default deployment"
 	if full {
@@ -94,8 +94,8 @@ func (f sweepFlags) sweepRequest() (stream.SweepRequest, error) {
 	if f.epochs < 1 || f.epochs > core.MaxEpochs {
 		return req, fmt.Errorf("-epochs %d: need 1 <= epochs <= %d", f.epochs, core.MaxEpochs)
 	}
-	if f.kMin < 1 || f.kMax < f.kMin {
-		return req, fmt.Errorf("-sweep-kmin %d -sweep-kmax %d: need 1 <= kmin <= kmax", f.kMin, f.kMax)
+	if f.kMin < 1 || f.kMax < f.kMin || f.kMax > stream.MaxSweepK {
+		return req, fmt.Errorf("-sweep-kmin %d -sweep-kmax %d: need 1 <= kmin <= kmax <= %d", f.kMin, f.kMax, stream.MaxSweepK)
 	}
 	valid := core.SweepTables()
 	for _, tbl := range strings.Split(f.tables, ",") {
@@ -144,13 +144,12 @@ func parseScenarios(value string, sweep bool) ([]string, error) {
 		if part == "" {
 			continue
 		}
-		id := scanners.CanonicalScenario(part)
-		if _, ok := scanners.LookupScenario(id); !ok {
+		if _, ok := scanners.LookupScenario(part); !ok {
 			return nil, fmt.Errorf("unknown scenario %q; valid: %s", part, strings.Join(scanners.Scenarios(), ", "))
 		}
-		if !seen[id] {
-			seen[id] = true
-			ids = append(ids, id)
+		if !seen[part] {
+			seen[part] = true
+			ids = append(ids, part)
 		}
 	}
 	if len(ids) == 0 {
@@ -196,7 +195,7 @@ func main() {
 	flag.IntVar(&sf.epochs, "epochs", stream.DefaultEpochs, fmt.Sprintf("time epochs the study week is partitioned into, 1..%d (sweep/serve modes)", core.MaxEpochs))
 	flag.StringVar(&sf.tables, "sweep-tables", "table2,table5", "comma-separated §3.3 tables to sweep: "+strings.Join(core.SweepTables(), ", "))
 	flag.IntVar(&sf.kMin, "sweep-kmin", 1, "smallest top-K width of the sweep")
-	flag.IntVar(&sf.kMax, "sweep-kmax", 10, "largest top-K width of the sweep")
+	flag.IntVar(&sf.kMax, "sweep-kmax", 10, fmt.Sprintf("largest top-K width of the sweep, at most %d", stream.MaxSweepK))
 	flag.StringVar(&sf.prefixes, "sweep-prefixes", "all", "epoch prefixes to sweep: \"all\" (every ingested epoch) or comma-separated counts")
 	flag.Parse()
 
@@ -301,7 +300,7 @@ func runStreaming(cfg core.Config, sf sweepFlags, addr, storeDir string, sweep b
 	// one directory could never work anyway.
 	buildEngine := func(scenario string) (*stream.Engine, error) {
 		scfg := stream.Config{Study: cfg, Epochs: sf.epochs}
-		scfg.Study.Actors.Scenario = scenario
+		scfg.Study.Scenario = scenario
 		dir := storeDir
 		if dir == "" {
 			return stream.New(scfg)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/stream"
 )
 
 // TestFigureBumpAppliesToAll pins the Figure 1 regression: the
@@ -110,6 +111,15 @@ func TestSweepFlagValidation(t *testing.T) {
 		t.Error("inverted K range accepted")
 	}
 	bad = good
+	bad.kMax = stream.MaxSweepK + 1
+	if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("<= %d", stream.MaxSweepK)) {
+		t.Errorf("-sweep-kmax %d: error should name the bound, got %v", bad.kMax, err)
+	}
+	bad.kMax = stream.MaxSweepK
+	if _, err := bad.sweepRequest(); err != nil {
+		t.Errorf("-sweep-kmax %d rejected: %v", stream.MaxSweepK, err)
+	}
+	bad = good
 	bad.prefixes = "1,99"
 	if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), "1..8") {
 		t.Errorf("out-of-range prefix error should name the range, got %v", err)
@@ -187,11 +197,8 @@ func TestParseScenarios(t *testing.T) {
 // the study configuration (and thereby in store identity).
 func TestScenarioThreadsIntoStudyConfig(t *testing.T) {
 	cfg, _ := studyConfig(42, 2021, 1, false, 0, "table2", "stealth", false)
-	if cfg.Actors.Scenario != "stealth" {
-		t.Fatalf("Actors.Scenario = %q, want stealth", cfg.Actors.Scenario)
-	}
-	if cfg.Scenario() != "stealth" {
-		t.Fatalf("cfg.Scenario() = %q", cfg.Scenario())
+	if cfg.Scenario != "stealth" {
+		t.Fatalf("Scenario = %q, want stealth", cfg.Scenario)
 	}
 }
 

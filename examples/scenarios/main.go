@@ -28,7 +28,7 @@ func main() {
 		"scenario", "actors", "records", "telescope-pkts", "ssh-as-diff", "p23-overlap")
 	for _, id := range cloudwatch.Scenarios() {
 		cfg := cloudwatch.QuickStudy(42, 2021)
-		cfg.Actors.Scenario = id
+		cfg.Scenario = id
 		study, err := cloudwatch.Run(cfg)
 		if err != nil {
 			log.Fatal(err)

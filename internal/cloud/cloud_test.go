@@ -69,14 +69,13 @@ func TestMultiCloudCityPairCount(t *testing.T) {
 }
 
 func TestBuildDeployment(t *testing.T) {
-	cfg := DefaultConfig(42, 2021)
-	d, err := Build(cfg)
+	d, err := Build(42, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Unique IPs and IDs (enforced again by NewUniverse).
-	u, err := d.Universe(42, 2021)
+	u, err := d.Universe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +100,11 @@ func TestBuildDeployment(t *testing.T) {
 }
 
 func TestBuildHTTPRestriction(t *testing.T) {
-	d, err := Build(DefaultConfig(1, 2021))
+	d, err := Build(1, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := d.Universe(1, 2021)
+	u, err := d.Universe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestBuildHTTPRestriction(t *testing.T) {
 }
 
 func TestBuildLeakGroups(t *testing.T) {
-	d, err := Build(DefaultConfig(7, 2021))
+	d, err := Build(7, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +170,11 @@ func TestBuildLeakGroups(t *testing.T) {
 }
 
 func TestBuildDeterministic(t *testing.T) {
-	a, err := Build(DefaultConfig(99, 2021))
+	a, err := Build(99, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(DefaultConfig(99, 2021))
+	b, err := Build(99, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +189,8 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildSeedChangesAddresses(t *testing.T) {
-	a, _ := Build(DefaultConfig(1, 2021))
-	b, _ := Build(DefaultConfig(2, 2021))
+	a, _ := Build(1, DefaultConfig())
+	b, _ := Build(2, DefaultConfig())
 	same := 0
 	for i := range a.Targets {
 		if a.Targets[i].IP == b.Targets[i].IP {
@@ -204,7 +203,7 @@ func TestBuildSeedChangesAddresses(t *testing.T) {
 }
 
 func TestBuildAddressInvariants(t *testing.T) {
-	d, err := Build(DefaultConfig(5, 2021))
+	d, err := Build(5, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +222,9 @@ func TestBuildAddressInvariants(t *testing.T) {
 }
 
 func TestBuildRejectsBadConfig(t *testing.T) {
-	cfg := DefaultConfig(1, 2021)
-	cfg.GreyNoisePerRegion = 1
-	if _, err := Build(cfg); err == nil {
-		t.Error("GreyNoisePerRegion=1 should be rejected")
-	}
-	cfg = DefaultConfig(1, 2021)
+	cfg := DefaultConfig()
 	cfg.TelescopeSlash24s = 0
-	if _, err := Build(cfg); err == nil {
+	if _, err := Build(1, cfg); err == nil {
 		t.Error("TelescopeSlash24s=0 should be rejected")
 	}
 }

@@ -17,20 +17,16 @@ var GreyNoisePorts = []uint16{22, 2222, 23, 2323, 80, 8080, 443}
 // region expose, matching Table 1's "4 or 2 (HTTP)" vantage counts.
 var HTTPRestrictedPorts = map[uint16]bool{80: true, 8080: true, 443: true}
 
+// greyNoisePerRegion is Table 1's GreyNoise layout: four honeypots per
+// region, the first two of which expose the HTTP-family ports.
+const greyNoisePerRegion = 4
+
 // Config sizes a deployment. The zero value is unusable; use
 // DefaultConfig.
 type Config struct {
-	Seed int64
-	Year int
-
-	GreyNoisePerRegion int // honeypots per GreyNoise region (paper: 4)
-	HoneytrapPerCloud  int // honeytrap IPs per /26 deployment (paper: 64)
-	HurricaneIPs       int // HE /24 honeypot count (paper: 256)
-	TelescopeSlash24s  int // telescope size in /24s (paper: 1856)
-
-	// LeakExperiment adds the §4.3 control/previously-leaked/leaked
-	// honeypot groups on the Stanford network.
-	LeakExperiment bool
+	HoneytrapPerCloud int // honeytrap IPs per /26 deployment (paper: 64)
+	HurricaneIPs      int // HE /24 honeypot count (paper: 256)
+	TelescopeSlash24s int // telescope size in /24s (paper: 1856)
 }
 
 // DefaultConfig returns the standard study deployment, scaled so a
@@ -38,15 +34,11 @@ type Config struct {
 // (32K addresses) instead of Orion's 1856, and the HE /24 honeypot
 // fleet to 64 IPs instead of 256. Use AtPaperScale to reproduce the
 // paper's full Table 1 scale.
-func DefaultConfig(seed int64, year int) Config {
+func DefaultConfig() Config {
 	return Config{
-		Seed:               seed,
-		Year:               year,
-		GreyNoisePerRegion: 4,
-		HoneytrapPerCloud:  64,
-		HurricaneIPs:       64,
-		TelescopeSlash24s:  128,
-		LeakExperiment:     true,
+		HoneytrapPerCloud: 64,
+		HurricaneIPs:      64,
+		TelescopeSlash24s: 128,
 	}
 }
 
@@ -69,8 +61,8 @@ type Deployment struct {
 }
 
 // Universe wraps the deployment into a netsim.Universe.
-func (d *Deployment) Universe(seed int64, year int) (*netsim.Universe, error) {
-	u, err := netsim.NewUniverse(seed, year, d.Targets)
+func (d *Deployment) Universe() (*netsim.Universe, error) {
+	u, err := netsim.NewUniverse(d.Targets)
 	if err != nil {
 		return nil, err
 	}
@@ -81,19 +73,17 @@ func (d *Deployment) Universe(seed int64, year int) (*netsim.Universe, error) {
 // Build constructs the Table 1 deployment: GreyNoise honeypots in
 // every region, Honeytrap /26s in the education networks and their
 // neighboring cloud regions, the Hurricane Electric /24, the leak-
-// experiment groups, and the telescope ranges.
-func Build(cfg Config) (*Deployment, error) {
-	if cfg.GreyNoisePerRegion < 2 {
-		return nil, fmt.Errorf("cloud: GreyNoisePerRegion must be >= 2, got %d", cfg.GreyNoisePerRegion)
-	}
+// experiment groups, and the telescope ranges. The seed picks every
+// address.
+func Build(seed int64, cfg Config) (*Deployment, error) {
 	if cfg.TelescopeSlash24s < 1 {
 		return nil, fmt.Errorf("cloud: TelescopeSlash24s must be >= 1, got %d", cfg.TelescopeSlash24s)
 	}
 	d := &Deployment{}
-	alloc := newAllocator(cfg.Seed)
+	alloc := newAllocator(seed)
 
 	for _, r := range GreyNoiseRegions {
-		n := cfg.GreyNoisePerRegion
+		n := greyNoisePerRegion
 		if r.Provider == Hurricane {
 			n = cfg.HurricaneIPs
 		}
@@ -145,9 +135,7 @@ func Build(cfg Config) (*Deployment, error) {
 		}
 	}
 
-	if cfg.LeakExperiment {
-		d.Targets = append(d.Targets, leakTargets(alloc)...)
-	}
+	d.Targets = append(d.Targets, leakTargets(alloc)...)
 
 	// Telescope ranges carved from the Orion pool.
 	pool := Pool(Orion)

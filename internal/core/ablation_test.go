@@ -72,6 +72,6 @@ func testConfigBench(seed int64) Config {
 	cfg.Deploy.TelescopeSlash24s = 32
 	cfg.Deploy.HoneytrapPerCloud = 16
 	cfg.Deploy.HurricaneIPs = 16
-	cfg.Actors.Scale = 0.4
+	cfg.Scale = 0.4
 	return cfg
 }

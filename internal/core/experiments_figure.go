@@ -33,10 +33,10 @@ type Figure1Result struct {
 const Figure1Window = 512
 
 // Figure1 regenerates Figure 1's per-address scanner-count series for
-// the watched ports (22, 445, 80, 17128).
+// the watched ports (figure1Ports: 22, 445, 80, 17128).
 func (s *Study) Figure1() Figure1Result {
 	var res Figure1Result
-	for _, port := range []uint16{22, 445, 80, 17128} {
+	for _, port := range figure1Ports {
 		series := s.telescopeSeries(port)
 		panel := Figure1Panel{Port: port}
 		if series == nil {

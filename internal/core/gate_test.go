@@ -58,7 +58,7 @@ func TestEpochGenerationAllocGate(t *testing.T) {
 		maxBytesPerRecord = 200
 	)
 	cfg := testConfig(42, 2021)
-	cfg.Actors.Scale = 0.35 // the root package's QuickStudy size
+	cfg.Scale = 0.35 // the root package's QuickStudy size
 	cfg.Workers = 1
 	// Warm the process-wide memos (payload interner, stream states) so
 	// neither measured side pays for them.

@@ -33,14 +33,12 @@ type refRecord struct {
 // and any window must deep-equal it.
 func refGenerate(t *testing.T, cfg Config) []refRecord {
 	t.Helper()
-	if cfg.Year == 0 {
-		cfg.Year = 2021
-	}
-	deployment, err := cloud.Build(cfg.Deploy)
+	cfg = cfg.Normalized()
+	deployment, err := cloud.Build(cfg.Seed, cfg.Deploy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := deployment.Universe(cfg.Seed, cfg.Year)
+	u, err := deployment.Universe()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +115,8 @@ func refGenerate(t *testing.T, cfg Config) []refRecord {
 		out = append(out, refRecord{rec, mal})
 	}
 
-	ctx := &scanners.Context{U: u, Censys: censys, Shodan: shodan, Seed: cfg.Seed, Year: cfg.Year}
-	for _, actor := range scanners.Population(cfg.Actors) {
+	ctx := &scanners.Context{U: u, Censys: censys, Shodan: shodan, Seed: cfg.Seed}
+	for _, actor := range scanners.Population(cfg.population()) {
 		actor.Run(ctx, dispatch)
 	}
 	return out

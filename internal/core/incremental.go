@@ -180,7 +180,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 	if prev := inc.tip; prev == nil {
 		// Chain start: empty collectors and columns preallocated for
 		// the whole chain, so every later append extends in place.
-		s.Tel = telescope.New(cfg.TelescopeWatch...)
+		s.Tel = telescope.New(figure1Ports...)
 		s.GN = greynoise.NewService()
 		for _, actor := range es.actors {
 			if actor.Benign {

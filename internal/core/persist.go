@@ -5,7 +5,6 @@ import (
 
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
-	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/telescope"
 )
 
@@ -72,7 +71,7 @@ type StudyMaterial struct {
 // the material as read-only.
 func (es *EpochSet) Material() *StudyMaterial {
 	m := &StudyMaterial{
-		Scenario:    scanners.CanonicalScenario(es.cfg.Actors.Scenario),
+		Scenario:    es.cfg.Scenario,
 		Workers:     len(es.sinks),
 		ActorWorker: make([]int32, len(es.runs)),
 		Epochs:      make([]EpochMaterial, es.eb.NumEpochs()),
@@ -112,30 +111,28 @@ func (es *EpochSet) Material() *StudyMaterial {
 // generated material is installed without running a single actor, and
 // the result serves snapshots byte-identical to the set the material
 // was exported from. The material is validated structurally (shape,
-// range bounds, column agreement) so a corrupted or mismatched store
-// fails here instead of producing a silently wrong study.
+// range bounds, column agreement) against the actor population alone,
+// so a corrupted or mismatched store fails here, before the deployment
+// is built, instead of producing a silently wrong study.
 func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
-	if want, got := scanners.CanonicalScenario(cfg.Actors.Scenario), scanners.CanonicalScenario(m.Scenario); want != got {
-		return nil, fmt.Errorf("core: material was generated under scenario %q, study is configured for %q", got, want)
-	}
 	if err := checkUnwindowed(cfg); err != nil {
 		return nil, err
 	}
-	es, _, err := newEpochSet(cfg, len(m.Epochs))
+	if m.Workers < 1 {
+		return nil, fmt.Errorf("core: material has %d workers", m.Workers)
+	}
+	es, err := newEpochSet(cfg, len(m.Epochs))
 	if err != nil {
 		return nil, err
 	}
-	nEpochs := es.eb.NumEpochs()
-	if nEpochs != len(m.Epochs) {
-		return nil, fmt.Errorf("core: material has %d epochs, study partitions into %d", len(m.Epochs), nEpochs)
-	}
-	if m.Workers < 1 {
-		return nil, fmt.Errorf("core: material has %d workers", m.Workers)
+	if m.Scenario != es.cfg.Scenario {
+		return nil, fmt.Errorf("core: material was generated under scenario %q, study is configured for %q", m.Scenario, es.cfg.Scenario)
 	}
 	if len(m.ActorWorker) != len(es.actors) {
 		return nil, fmt.Errorf("core: material maps %d actors, population has %d (configuration mismatch?)", len(m.ActorWorker), len(es.actors))
 	}
 
+	nEpochs := len(m.Epochs)
 	es.sinks = make([][]*epochSink, m.Workers)
 	for w := range es.sinks {
 		es.sinks[w] = make([]*epochSink, nEpochs)
@@ -174,6 +171,9 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			run.lo[e], run.hi[e] = lo, hi
 		}
 		es.runs[i] = run
+	}
+	if _, err := es.scaffold(); err != nil {
+		return nil, err
 	}
 	return es, nil
 }

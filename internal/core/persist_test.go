@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -146,5 +147,16 @@ func TestRestoreEpochSetValidation(t *testing.T) {
 	wcfg.WindowSec = es.Bound(1)
 	if _, err := RestoreEpochSet(wcfg, pristine); err == nil {
 		t.Fatal("material restored under a truncation window")
+	}
+
+	// Material is checked against the actor population alone, before
+	// the deployment is built: a short actor map is reported as such
+	// even under a config whose deployment cannot be built.
+	bcfg := cfg
+	bcfg.Deploy.TelescopeSlash24s = 0
+	m = es.Material()
+	m.ActorWorker = m.ActorWorker[:1]
+	if _, err := RestoreEpochSet(bcfg, m); err == nil || !strings.Contains(err.Error(), "maps 1 actors") {
+		t.Fatalf("short actor map under an unbuildable deployment: got %v", err)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // scenario × worker-count matrix stays fast.
 func scenarioTestConfig(seed int64, scenario string) Config {
 	cfg := testConfig(seed, 2021)
-	cfg.Actors.Scale = 0.2
-	cfg.Actors.Scenario = scenario
+	cfg.Scale = 0.2
+	cfg.Scenario = scenario
 	return cfg
 }
 
@@ -124,7 +124,7 @@ func TestScenarioStoreRoundTrip(t *testing.T) {
 	// refused with an error naming both worlds.
 	for _, other := range []string{scanners.BaselineScenario, "", "burst-ddos"} {
 		mis := cfg
-		mis.Actors.Scenario = other
+		mis.Scenario = other
 		_, err := RestoreEpochSet(mis, es.Material())
 		if err == nil {
 			t.Fatalf("scenario %q restored stealth material", other)
@@ -140,7 +140,7 @@ func TestScenarioStoreRoundTrip(t *testing.T) {
 // scenario, negative scale) instead of silently building the baseline.
 func TestRunRejectsInvalidActorConfig(t *testing.T) {
 	bad := testConfig(42, 2021)
-	bad.Actors.Scenario = "bogus"
+	bad.Scenario = "bogus"
 	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Errorf("Run with unknown scenario: err = %v", err)
 	}
@@ -148,7 +148,7 @@ func TestRunRejectsInvalidActorConfig(t *testing.T) {
 		t.Errorf("GenerateEpochs with unknown scenario: err = %v", err)
 	}
 	neg := testConfig(42, 2021)
-	neg.Actors.Scale = -1
+	neg.Scale = -1
 	if _, err := Run(neg); err == nil {
 		t.Error("Run with negative scale succeeded")
 	}

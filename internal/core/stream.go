@@ -226,7 +226,11 @@ func checkUnwindowed(cfg Config) error {
 // generate is GenerateEpochs without the window check: Run generates
 // a single epoch truncated at cfg.WindowSec through it.
 func generate(cfg Config, epochs int) (*EpochSet, error) {
-	es, ctx, err := newEpochSet(cfg, epochs)
+	es, err := newEpochSet(cfg, epochs)
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := es.scaffold()
 	if err != nil {
 		return nil, err
 	}
@@ -237,52 +241,47 @@ func generate(cfg Config, epochs int) (*EpochSet, error) {
 	return es, nil
 }
 
-// newEpochSet builds everything of an epoch-partitioned study that is
-// deterministic from the configuration alone — deployment, universe,
-// search-engine crawls, actor population — and leaves the generated
-// material empty. generate runs the actors to fill it;
-// RestoreEpochSet installs persisted material instead, which is what
-// lets a durable-store cold start skip generation entirely.
-func newEpochSet(cfg Config, epochs int) (*EpochSet, *scanners.Context, error) {
+// newEpochSet normalizes the configuration and builds the actor
+// population: the part of an epoch set that persisted material is
+// checked against (RestoreEpochSet). scaffold builds the rest. The
+// scenario is validated first, so a typoed scenario id fails with the
+// registered ids enumerated, not halfway into a deployment build.
+func newEpochSet(cfg Config, epochs int) (*EpochSet, error) {
 	if epochs < 1 || epochs > MaxEpochs {
-		return nil, nil, fmt.Errorf("core: %d epochs out of range [1, %d]", epochs, MaxEpochs)
+		return nil, fmt.Errorf("core: %d epochs out of range [1, %d]", epochs, MaxEpochs)
 	}
-	if cfg.Year == 0 {
-		cfg.Year = 2021
-	}
-	// Canonicalize and validate the scenario before building anything:
-	// a typoed scenario id fails with the registered ids enumerated,
-	// not halfway into a deployment build.
-	cfg.Actors.Scenario = scanners.CanonicalScenario(cfg.Actors.Scenario)
-	actors, err := scanners.PopulationFor(cfg.Actors)
+	cfg = cfg.Normalized()
+	actors, err := scanners.PopulationFor(cfg.population())
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: actor population: %w", err)
+		return nil, fmt.Errorf("core: actor population: %w", err)
 	}
-	deployment, err := cloud.Build(cfg.Deploy)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: building deployment: %w", err)
-	}
-	u, err := deployment.Universe(cfg.Seed, cfg.Year)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: building universe: %w", err)
-	}
+	return &EpochSet{cfg: cfg, eb: netsim.NewEpochs(epochs), actors: actors}, nil
+}
 
-	es := &EpochSet{
-		cfg:    cfg,
-		eb:     netsim.NewEpochs(epochs),
-		u:      u,
-		censys: searchengine.New("censys"),
-		shodan: searchengine.New("shodan"),
+// scaffold builds the rest of the epoch set that is deterministic from
+// the configuration alone — deployment, universe, search-engine crawls
+// — and returns the context the actors generate in. generate then runs
+// the actors to fill the set; RestoreEpochSet installs persisted
+// material instead, which is what lets a durable-store cold start skip
+// generation entirely.
+func (es *EpochSet) scaffold() (*scanners.Context, error) {
+	deployment, err := cloud.Build(es.cfg.Seed, es.cfg.Deploy)
+	if err != nil {
+		return nil, fmt.Errorf("core: building deployment: %w", err)
 	}
+	u, err := deployment.Universe()
+	if err != nil {
+		return nil, fmt.Errorf("core: building universe: %w", err)
+	}
+	es.u = u
+	es.censys = searchengine.New("censys")
+	es.shodan = searchengine.New("shodan")
 	// Search engines crawl before the study window opens; attackers
 	// mine the resulting index during the week (§4.3).
 	crawlTime := netsim.StudyStart.Add(-24 * time.Hour)
 	es.censys.Crawl(u, crawlTime)
 	es.shodan.Crawl(u, crawlTime)
-
-	es.actors = actors
-	ctx := &scanners.Context{U: u, Censys: es.censys, Shodan: es.shodan, Seed: cfg.Seed, Year: cfg.Year}
-	return es, ctx, nil
+	return &scanners.Context{U: u, Censys: es.censys, Shodan: es.shodan, Seed: es.cfg.Seed}, nil
 }
 
 // runActors drives the population across workers. Each actor draws
@@ -330,7 +329,7 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 		sinks := make([]*epochSink, nEpochs)
 		for e := range sinks {
 			sink := &epochSink{
-				tel: telescope.New(es.cfg.TelescopeWatch...),
+				tel: telescope.New(figure1Ports...),
 				gn:  greynoise.NewDelta(),
 				seq: make([]int32, 0, perSink),
 			}
@@ -386,8 +385,8 @@ func (es *EpochSet) NumRecords() int {
 	return n
 }
 
-// Config returns the (year-defaulted) study configuration the epochs
-// were generated from.
+// Config returns the normalized study configuration the epochs were
+// generated from (see Config.Normalized).
 func (es *EpochSet) Config() Config { return es.cfg }
 
 // Window returns the wall-clock span of epoch e.

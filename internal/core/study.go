@@ -20,16 +20,16 @@ import (
 	"cloudwatch/internal/telescope"
 )
 
-// Config assembles a full study: deployment, actor population, and
-// telescope watch ports.
+// Config assembles a full study. It is the one place a study's seed,
+// year, scenario and scale are set.
 type Config struct {
-	Seed   int64
-	Year   int
-	Deploy cloud.Config
-	Actors scanners.Config
-	// TelescopeWatch lists ports with per-destination telescope
-	// tracking (Figure 1). Defaults to 22, 80, 445, 7574, 17128.
-	TelescopeWatch []uint16
+	Seed  int64
+	Year  int     // 2020, 2021 or 2022 (Appendix C variants); 0 means 2021
+	Scale float64 // actor population multiplier; 0 means 1.0
+	// Scenario is the registered adversarial world the actors come
+	// from; "" means the baseline, the paper's collection week.
+	Scenario string
+	Deploy   cloud.Config
 	// Workers is the number of pipeline workers the actor population
 	// is sharded across. 0 (the default) means runtime.GOMAXPROCS(0).
 	// Results are byte-identical for every worker count.
@@ -47,19 +47,33 @@ type Config struct {
 // scale.
 func DefaultConfig(seed int64, year int) Config {
 	return Config{
-		Seed:           seed,
-		Year:           year,
-		Deploy:         cloud.DefaultConfig(seed, year),
-		Actors:         scanners.Config{Seed: seed, Year: year, Scale: 1, Scenario: scanners.BaselineScenario},
-		TelescopeWatch: []uint16{22, 80, 445, 7574, 17128},
+		Seed:     seed,
+		Year:     year,
+		Scale:    1,
+		Scenario: scanners.BaselineScenario,
+		Deploy:   cloud.DefaultConfig(),
 	}
 }
 
-// Scenario returns the canonical scenario id of the study config (the
-// baseline when unset).
-func (c Config) Scenario() string {
-	return scanners.CanonicalScenario(c.Actors.Scenario)
+// Normalized resolves the year and scenario defaults. An EpochSet holds
+// the normalized config, so studies, snapshots and store identities
+// read one year and scenario whichever spelling built them.
+func (c Config) Normalized() Config {
+	if c.Year == 0 {
+		c.Year = 2021
+	}
+	c.Scenario = scanners.CanonicalScenario(c.Scenario)
+	return c
 }
+
+// population returns the scanners' parameters of the study.
+func (c Config) population() scanners.Config {
+	return scanners.Config{Seed: c.Seed, Year: c.Year, Scale: c.Scale, Scenario: c.Scenario}
+}
+
+// figure1Ports are the telescope ports Figure 1 plots, in panel order:
+// the only ports whose collectors keep per-destination logs.
+var figure1Ports = []uint16{22, 445, 80, 17128}
 
 // Study is the outcome of one simulated collection week: everything
 // the analysis pipeline consumes.

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"cloudwatch/internal/cloud"
 	"cloudwatch/internal/netsim"
-	"cloudwatch/internal/scanners"
 )
 
 // testConfig is a scaled-down study for fast tests.
@@ -14,7 +12,7 @@ func testConfig(seed int64, year int) Config {
 	cfg.Deploy.TelescopeSlash24s = 32
 	cfg.Deploy.HoneytrapPerCloud = 16
 	cfg.Deploy.HurricaneIPs = 16
-	cfg.Actors.Scale = 0.4
+	cfg.Scale = 0.4
 	return cfg
 }
 
@@ -163,7 +161,6 @@ func TestStudyVantageRecords(t *testing.T) {
 func TestStudyYearZeroDefaults(t *testing.T) {
 	cfg := testConfig(1, 2021)
 	cfg.Year = 0
-	cfg.Actors.Year = 0
 	s, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +172,7 @@ func TestStudyYearZeroDefaults(t *testing.T) {
 
 func TestStudyRejectsBadDeployment(t *testing.T) {
 	cfg := testConfig(1, 2021)
-	cfg.Deploy.GreyNoisePerRegion = 0
+	cfg.Deploy.TelescopeSlash24s = 0
 	if _, err := Run(cfg); err == nil {
 		t.Error("bad deployment config should fail")
 	}
@@ -187,7 +184,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// Silence unused import when cloud defaults change.
-var _ = cloud.DefaultConfig
-var _ = scanners.Config{}

@@ -122,7 +122,7 @@ func TestUniverseBasics(t *testing.T) {
 		mkTarget("edu:1", "10.1.0.1", "edu", KindEducation),
 		mkTarget("tel:1", "10.2.0.1", "tel", KindTelescope),
 	}
-	u, err := NewUniverse(1, 2021, targets)
+	u, err := NewUniverse(targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestUniverseBasics(t *testing.T) {
 }
 
 func TestUniverseTelescopeBlocks(t *testing.T) {
-	u, err := NewUniverse(1, 2021, nil)
+	u, err := NewUniverse(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +183,18 @@ func TestUniverseRejectsDuplicates(t *testing.T) {
 		mkTarget("x:1", "10.0.0.1", "x", KindCloud),
 		mkTarget("x:2", "10.0.0.1", "x", KindCloud),
 	}
-	if _, err := NewUniverse(1, 2021, dupIP); err == nil {
+	if _, err := NewUniverse(dupIP); err == nil {
 		t.Error("duplicate IP should be rejected")
 	}
 	dupID := []*Target{
 		mkTarget("x:1", "10.0.0.1", "x", KindCloud),
 		mkTarget("x:1", "10.0.0.2", "x", KindCloud),
 	}
-	if _, err := NewUniverse(1, 2021, dupID); err == nil {
+	if _, err := NewUniverse(dupID); err == nil {
 		t.Error("duplicate ID should be rejected")
 	}
 	noID := []*Target{mkTarget("", "10.0.0.1", "x", KindCloud)}
-	if _, err := NewUniverse(1, 2021, noID); err == nil {
+	if _, err := NewUniverse(noID); err == nil {
 		t.Error("empty ID should be rejected")
 	}
 }
@@ -255,7 +255,7 @@ func TestKindStrings(t *testing.T) {
 // must agree with a straight linear scan and TelescopeIndex must
 // invert TelescopeAddr over the whole space.
 func TestUniverseTelescopeIndexUnsortedBlocks(t *testing.T) {
-	u, err := NewUniverse(1, 2021, nil)
+	u, err := NewUniverse(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,7 +160,7 @@ func TestRecordBlockRoundTrip(t *testing.T) {
 func TestTargetListensOnBitset(t *testing.T) {
 	withSet := &Target{ID: "a", IP: 1, Ports: []uint16{22, 80, 17128}}
 	wild := &Target{ID: "b", IP: 2} // nil ports = telescope wildcard
-	if _, err := NewUniverse(1, 2021, []*Target{withSet, wild}); err != nil {
+	if _, err := NewUniverse([]*Target{withSet, wild}); err != nil {
 		t.Fatal(err)
 	}
 	if withSet.ports == nil {
@@ -181,7 +181,7 @@ func TestTargetListensOnBitset(t *testing.T) {
 	}
 	// Identical port lists share one interned bitset.
 	other := &Target{ID: "c", IP: 3, Ports: []uint16{22, 80, 17128}}
-	if _, err := NewUniverse(1, 2021, []*Target{other}); err != nil {
+	if _, err := NewUniverse([]*Target{other}); err != nil {
 		t.Fatal(err)
 	}
 	if other.ports != withSet.ports {
@@ -217,7 +217,7 @@ func TestVantageIndexRoundTrip(t *testing.T) {
 	targets := []*Target{
 		{ID: "x", IP: 10}, {ID: "y", IP: 11}, {ID: "z", IP: 12},
 	}
-	u, err := NewUniverse(1, 2021, targets)
+	u, err := NewUniverse(targets)
 	if err != nil {
 		t.Fatal(err)
 	}

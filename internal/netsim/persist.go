@@ -13,16 +13,20 @@ import (
 // per-element encoding.
 //
 // Payload ids are process-local (the interner hands them out in
-// first-sight order, which depends on worker scheduling), so a block
-// on disk is only meaningful next to a payload dictionary mapping its
-// ids to payload bytes. AppendPayloadDict persists the dictionary;
-// DecodePayloadDict re-interns every entry in the reading process and
-// returns the old-id → new-id remap DecodeRecordBlock applies to the
-// Pay column.
+// first-sight order, which depends on worker scheduling and on every
+// other study the process ran), so a block on disk carries dictionary
+// ids instead: PayloadDictOf renumbers the ids a set of blocks
+// references densely, AppendBinary writes the Pay column through that
+// renumbering, and AppendPayloadDict persists the referenced payloads.
+// Reading is two-phase so a damaged file never touches the interner:
+// DecodePayloadDict and DecodeRecordBlock only decode and validate,
+// and once everything has decoded InternPayloadDict interns the
+// dictionary and RemapPayloads rewrites each block's Pay column.
 
 // AppendBinary serializes the block onto dst and returns the extended
-// buffer.
-func (b *RecordBlock) AppendBinary(dst []byte) []byte {
+// buffer. The Pay column is written through renumber (process id →
+// dictionary id, from PayloadDictOf).
+func (b *RecordBlock) AppendBinary(dst []byte, renumber []PayloadID) []byte {
 	n := b.Len()
 	dst = wire.AppendU32(dst, uint32(n))
 	dst = wire.AppendI32s(dst, b.Vantage)
@@ -40,7 +44,7 @@ func (b *RecordBlock) AppendBinary(dst []byte) []byte {
 	}
 	dst = wire.AppendU32(dst, uint32(len(b.Pay)))
 	for _, pay := range b.Pay {
-		dst = wire.AppendI32(dst, int32(pay))
+		dst = wire.AppendI32(dst, int32(renumber[pay]))
 	}
 	dst = wire.AppendI32s(dst, b.Cred)
 	dst = wire.AppendU32(dst, uint32(len(b.CredLists)))
@@ -54,10 +58,11 @@ func (b *RecordBlock) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// DecodeRecordBlock reads one serialized block, rewriting the Pay
-// column through remap (old on-disk id → id in this process, from
-// DecodePayloadDict). Every column must carry the same record count.
-func DecodeRecordBlock(r *wire.BinReader, remap []PayloadID) (RecordBlock, error) {
+// DecodeRecordBlock reads one serialized block whose Pay column holds
+// ids of a dictionary of dictLen entries; RemapPayloads turns them into
+// process ids once the dictionary is interned. Every column must carry
+// the same record count.
+func DecodeRecordBlock(r *wire.BinReader, dictLen int) (RecordBlock, error) {
 	var b RecordBlock
 	n := int(r.U32())
 	b.Vantage = r.I32s()
@@ -84,11 +89,11 @@ func DecodeRecordBlock(r *wire.BinReader, remap []PayloadID) (RecordBlock, error
 	if r.Err() == nil && nPay > 0 {
 		b.Pay = make([]PayloadID, nPay)
 		for i := range b.Pay {
-			old := r.I32()
-			if old < 0 || int(old) >= len(remap) {
-				return b, fmt.Errorf("netsim: record block payload id %d outside dictionary of %d", old, len(remap))
+			id := r.I32()
+			if id < 0 || int(id) > dictLen {
+				return b, fmt.Errorf("netsim: record block payload id %d outside dictionary of %d", id, dictLen)
 			}
-			b.Pay[i] = remap[old]
+			b.Pay[i] = PayloadID(id)
 		}
 	}
 	b.Cred = r.I32s()
@@ -120,26 +125,47 @@ func DecodeRecordBlock(r *wire.BinReader, remap []PayloadID) (RecordBlock, error
 	return b, nil
 }
 
-// AppendPayloadDict serializes the payload interner's current table
-// (ids 1..PayloadCount-1, in id order). Blocks persisted alongside the
-// dictionary always reference ids below the persisted count, because
-// the interner only grows.
-func AppendPayloadDict(dst []byte) []byte {
-	n := PayloadCount()
-	dst = wire.AppendU32(dst, uint32(n-1))
-	for id := 1; id < n; id++ {
-		dst = wire.AppendBytes(dst, PayloadBytes(PayloadID(id)))
+// RemapPayloads rewrites a decoded block's Pay column from dictionary
+// ids to process ids through remap (from InternPayloadDict).
+func (b *RecordBlock) RemapPayloads(remap []PayloadID) {
+	for i, id := range b.Pay {
+		b.Pay[i] = remap[id]
+	}
+}
+
+// PayloadDictOf numbers the payload ids the blocks reference densely,
+// in order of first reference: dictionary id i+1 is ids[i], and
+// renumber maps a process id to its dictionary id (0 for the empty
+// payload and for ids no block references). The dictionary depends on
+// the blocks alone, not on what else the process has interned.
+func PayloadDictOf(blocks []*RecordBlock) (ids, renumber []PayloadID) {
+	renumber = make([]PayloadID, PayloadCount())
+	for _, b := range blocks {
+		for _, pay := range b.Pay {
+			if pay != 0 && renumber[pay] == 0 {
+				ids = append(ids, pay)
+				renumber[pay] = PayloadID(len(ids))
+			}
+		}
+	}
+	return ids, renumber
+}
+
+// AppendPayloadDict serializes the payloads of ids, in order (see
+// PayloadDictOf).
+func AppendPayloadDict(dst []byte, ids []PayloadID) []byte {
+	dst = wire.AppendU32(dst, uint32(len(ids)))
+	for _, id := range ids {
+		dst = wire.AppendBytes(dst, PayloadBytes(id))
 	}
 	return dst
 }
 
-// DecodePayloadDict reads a persisted payload dictionary, interns
-// every payload in this process, and returns the remap table: the id
-// a stored block used at position i maps to remap[i] here. remap[0]
-// is the reserved "no payload" id.
-func DecodePayloadDict(r *wire.BinReader) ([]PayloadID, error) {
+// DecodePayloadDict reads a persisted payload dictionary without
+// interning it: entry i holds the bytes of dictionary id i+1.
+func DecodePayloadDict(r *wire.BinReader) ([][]byte, error) {
 	n := r.Count(4)
-	remap := make([]PayloadID, n+1)
+	entries := make([][]byte, 0, n)
 	for i := 1; i <= n; i++ {
 		pay := r.Bytes()
 		if r.Err() != nil {
@@ -148,10 +174,17 @@ func DecodePayloadDict(r *wire.BinReader) ([]PayloadID, error) {
 		if len(pay) == 0 {
 			return nil, fmt.Errorf("netsim: payload dictionary entry %d is empty", i)
 		}
-		remap[i] = InternPayload(pay)
+		entries = append(entries, pay)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("netsim: decoding payload dictionary: %w", err)
 	}
-	return remap, nil
+	return entries, nil
+}
+
+// InternPayloadDict interns a decoded dictionary in this process and
+// returns the remap table: dictionary id i maps to remap[i], and
+// remap[0] is the reserved "no payload" id.
+func InternPayloadDict(entries [][]byte) []PayloadID {
+	return append([]PayloadID{0}, InternPayloads(entries)...)
 }

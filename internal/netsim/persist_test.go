@@ -31,31 +31,30 @@ func persistTestBlock(t *testing.T) (RecordBlock, []PayloadID) {
 	return b, []PayloadID{payA, payB}
 }
 
-func TestRecordBlockBinaryRoundTrip(t *testing.T) {
-	b, pays := persistTestBlock(t)
-
-	var dict []byte
-	dict = AppendPayloadDict(dict)
-	remap, err := DecodePayloadDict(wire.NewBinReader(dict))
+// roundTrip encodes a block with its payload dictionary and decodes
+// both again, the way the durable store does.
+func roundTrip(t *testing.T, b RecordBlock) RecordBlock {
+	t.Helper()
+	ids, renumber := PayloadDictOf([]*RecordBlock{&b})
+	entries, err := DecodePayloadDict(wire.NewBinReader(AppendPayloadDict(nil, ids)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same process: re-interning maps every id to itself.
-	for id := 1; id < PayloadCount(); id++ {
-		if remap[id] != PayloadID(id) {
-			t.Fatalf("same-process remap moved id %d -> %d", id, remap[id])
-		}
-	}
-
-	enc := b.AppendBinary(nil)
-	r := wire.NewBinReader(enc)
-	got, err := DecodeRecordBlock(r, remap)
+	r := wire.NewBinReader(b.AppendBinary(nil, renumber))
+	got, err := DecodeRecordBlock(r, len(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Len() != 0 {
 		t.Fatalf("decoder left %d bytes", r.Len())
 	}
+	got.RemapPayloads(InternPayloadDict(entries))
+	return got
+}
+
+func TestRecordBlockBinaryRoundTrip(t *testing.T) {
+	b, pays := persistTestBlock(t)
+	got := roundTrip(t, b)
 	if !reflect.DeepEqual(b, got) {
 		t.Fatalf("round trip mismatch:\n%+v\nvs\n%+v", b, got)
 	}
@@ -70,27 +69,38 @@ func TestRecordBlockBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadDictOfIsDenseAndStudyScoped checks the dictionary holds
+// exactly the referenced payloads, numbered in first-reference order,
+// whatever else the process has interned.
+func TestPayloadDictOfIsDenseAndStudyScoped(t *testing.T) {
+	b, pays := persistTestBlock(t)
+	InternPayload([]byte("persist-test-unrelated"))
+	ids, renumber := PayloadDictOf([]*RecordBlock{&b})
+	if !reflect.DeepEqual(ids, pays) {
+		t.Fatalf("dictionary ids %v, want %v", ids, pays)
+	}
+	if renumber[pays[0]] != 1 || renumber[pays[1]] != 2 || renumber[0] != 0 {
+		t.Fatalf("renumbering %d, %d, %d; want 1, 2, 0", renumber[pays[0]], renumber[pays[1]], renumber[0])
+	}
+}
+
 // TestDecodeRecordBlockRejectsCorruption verifies the decoder fails
 // cleanly on out-of-dictionary payload ids, column length skew, and
 // bad credential indexes instead of producing a corrupt block.
 func TestDecodeRecordBlockRejectsCorruption(t *testing.T) {
 	b, _ := persistTestBlock(t)
-	remap, err := DecodePayloadDict(wire.NewBinReader(AppendPayloadDict(nil)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := b.AppendBinary(nil)
+	ids, renumber := PayloadDictOf([]*RecordBlock{&b})
+	enc := b.AppendBinary(nil, renumber)
 
 	// Truncations at a sample of offsets must error, never panic.
 	for _, cut := range []int{0, 1, 5, len(enc) / 2, len(enc) - 1} {
-		if _, err := DecodeRecordBlock(wire.NewBinReader(enc[:cut]), remap); err == nil {
+		if _, err := DecodeRecordBlock(wire.NewBinReader(enc[:cut]), len(ids)); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
 		}
 	}
 
 	// A payload id outside the dictionary is rejected.
-	tiny := []PayloadID{0} // dictionary with no real ids
-	if _, err := DecodeRecordBlock(wire.NewBinReader(enc), tiny); err == nil {
+	if _, err := DecodeRecordBlock(wire.NewBinReader(enc), 0); err == nil {
 		t.Fatal("out-of-dictionary payload id decoded successfully")
 	}
 }
@@ -102,10 +112,15 @@ func TestDecodePayloadDictRemapsAcrossProcesses(t *testing.T) {
 	dict = wire.AppendU32(dict, 2)
 	dict = wire.AppendBytes(dict, []byte("persist-test-payload-A")) // known
 	dict = wire.AppendBytes(dict, []byte("persist-test-payload-foreign"))
-	remap, err := DecodePayloadDict(wire.NewBinReader(dict))
+	before := PayloadCount()
+	entries, err := DecodePayloadDict(wire.NewBinReader(dict))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if PayloadCount() != before {
+		t.Fatalf("decoding interned: %d payloads, was %d", PayloadCount(), before)
+	}
+	remap := InternPayloadDict(entries)
 	if len(remap) != 3 || remap[0] != 0 {
 		t.Fatalf("remap = %v", remap)
 	}

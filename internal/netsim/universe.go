@@ -15,9 +15,6 @@ import (
 // It is the simulated stand-in for "the parts of the Internet our
 // sensors can see".
 type Universe struct {
-	Seed int64
-	Year int // dataset year (2020, 2021, 2022) for Appendix C variants
-
 	// TelescopeBlocks are the darknet ranges; traffic to them reaches
 	// the telescope collector, which records first packets only. The
 	// slice must not change after the first telescope lookup
@@ -100,10 +97,8 @@ func (u *Universe) telescopeBlockOf(ip wire.Addr) (int, bool) {
 
 // NewUniverse builds a universe over the given honeypot targets.
 // Target IPs and IDs must be unique.
-func NewUniverse(seed int64, year int, targets []*Target) (*Universe, error) {
+func NewUniverse(targets []*Target) (*Universe, error) {
 	u := &Universe{
-		Seed:    seed,
-		Year:    year,
 		byIP:    make(map[wire.Addr]targetRef, len(targets)),
 		byID:    make(map[string]targetRef, len(targets)),
 		regions: map[string][]*Target{},

@@ -19,7 +19,6 @@ type Context struct {
 	Censys *searchengine.Engine
 	Shodan *searchengine.Engine
 	Seed   int64
-	Year   int
 
 	// est, when non-nil, switches the scan primitives into estimation
 	// mode: ScanServices adds its expected emission count here and

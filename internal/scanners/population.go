@@ -14,7 +14,7 @@ import (
 // Config parameterizes the actor population.
 type Config struct {
 	Seed  int64
-	Year  int     // 2020, 2021 (baseline), or 2022: Appendix C variants
+	Year  int     // 2020, 2021 (also 0), or 2022: Appendix C variants
 	Scale float64 // source-IP population multiplier; 0 means 1.0
 	// Scenario selects the registered adversarial world the population
 	// is built from (see scenario.go); "" means the baseline — the
@@ -42,9 +42,6 @@ func (c Config) scale(n int) int {
 // here; the analysis pipeline must re-derive the findings from the
 // traffic these actors generate.
 func Population(cfg Config) []*Actor {
-	if cfg.Year == 0 {
-		cfg.Year = 2021
-	}
 	var actors []*Actor
 	add := func(as []*Actor) { actors = append(actors, as...) }
 

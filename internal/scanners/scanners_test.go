@@ -27,7 +27,7 @@ func miniUniverse(t *testing.T) *netsim.Universe {
 			Geo:   netsim.Geo{Country: "US", Sub: "CA", Continent: "NA"},
 			Ports: []uint16{22, 23, 80}, Collector: netsim.CollectHoneytrap},
 	}
-	u, err := netsim.NewUniverse(7, 2021, targets)
+	u, err := netsim.NewUniverse(targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func miniContext(t *testing.T) *Context {
 	shodan := searchengine.New("shodan")
 	censys.Crawl(u, netsim.StudyStart)
 	shodan.Crawl(u, netsim.StudyStart)
-	return &Context{U: u, Censys: censys, Shodan: shodan, Seed: 7, Year: 2021}
+	return &Context{U: u, Censys: censys, Shodan: shodan, Seed: 7}
 }
 
 func TestSourceIPsDeterministicAndDisjoint(t *testing.T) {

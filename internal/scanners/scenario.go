@@ -28,7 +28,7 @@ type Scenario struct {
 	// Description is the one-line operator-facing summary.
 	Description string
 	// Build constructs the scenario's actor population. The Config it
-	// receives is validated (non-negative scale, Year defaulted).
+	// receives is validated (non-negative scale, registered scenario).
 	Build func(cfg Config) []*Actor
 }
 
@@ -122,9 +122,6 @@ func (c Config) Validate() error {
 func PopulationFor(cfg Config) ([]*Actor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Year == 0 {
-		cfg.Year = 2021
 	}
 	s, _ := LookupScenario(cfg.Scenario)
 	return s.Build(cfg), nil

@@ -20,7 +20,7 @@ func leakUniverse(t *testing.T) *netsim.Universe {
 		{ID: "leak:prev", IP: wire.MustParseAddr("10.0.0.4"), Region: "leak",
 			Ports: []uint16{22, 80}, BlockSearch: true, PrevIndexed: true},
 	}
-	u, err := netsim.NewUniverse(1, 2021, targets)
+	u, err := netsim.NewUniverse(targets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,10 @@
 // store validates every frame, truncates a torn tail at the last
 // valid frame boundary, and reports either a fully recovered study
 // (generation can be skipped entirely) or nothing usable (the caller
-// regenerates deterministically and rewrites the segment). All I/O
+// regenerates deterministically and rewrites the segment). The
+// segment's payload dictionary holds only the payloads its study
+// references, and it reaches the process interner only once every
+// frame has decoded. All I/O
 // goes through the FS interface so tests can inject crashes, short
 // writes, and sync failures at programmable points (MemFS).
 package store

@@ -91,12 +91,21 @@ func scanSegment(buf []byte) (frames []frame, validLen int) {
 	return frames, off
 }
 
-// encodeSegment serializes a full study into segment bytes.
+// encodeSegment serializes a full study into segment bytes. The
+// payload dictionary holds only the payloads the study's records
+// reference, so the segment depends on the study alone.
 func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
 	buf := wire.AppendU32([]byte(segMagic), segVersion)
 
+	var blocks []*netsim.RecordBlock
+	for e := range m.Epochs {
+		for _, sm := range m.Epochs[e].Sinks {
+			blocks = append(blocks, sm.Blk)
+		}
+	}
+	ids, renumber := netsim.PayloadDictOf(blocks)
 	buf = appendFrame(buf, frameConfig, configJSON)
-	buf = appendFrame(buf, frameDict, netsim.AppendPayloadDict(nil))
+	buf = appendFrame(buf, frameDict, netsim.AppendPayloadDict(nil, ids))
 
 	var layout []byte
 	layout = wire.AppendU32(layout, uint32(m.Workers))
@@ -112,7 +121,7 @@ func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
 			sm := &em.Sinks[w]
 			p = sm.Tel.AppendBinary(p)
 			p = sm.GN.AppendBinary(p)
-			p = sm.Blk.AppendBinary(p)
+			p = sm.Blk.AppendBinary(p, renumber)
 			p = wire.AppendI32s(p, sm.Seq)
 		}
 		p = wire.AppendI32s(p, em.Lo)
@@ -124,7 +133,9 @@ func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
 
 // decodeFrames rebuilds the persisted study from a valid frame
 // sequence. A nil study with a reason means the segment (though every
-// retained frame checksums) is not a complete usable study.
+// retained frame checksums) is not a complete usable study. The payload
+// dictionary is interned only once every frame has decoded, so an
+// incomplete or damaged segment leaves the process interner untouched.
 func decodeFrames(frames []frame) (configJSON []byte, m *core.StudyMaterial, reason string) {
 	if len(frames) == 0 {
 		return nil, nil, "segment empty or unrecognized"
@@ -143,7 +154,7 @@ func decodeFrames(frames []frame) (configJSON []byte, m *core.StudyMaterial, rea
 	if !ok {
 		return nil, nil, "segment missing payload dictionary"
 	}
-	remap, err := netsim.DecodePayloadDict(wire.NewBinReader(dict))
+	entries, err := netsim.DecodePayloadDict(wire.NewBinReader(dict))
 	if err != nil {
 		return nil, nil, fmt.Sprintf("payload dictionary: %v", err)
 	}
@@ -177,16 +188,22 @@ func decodeFrames(frames []frame) (configJSON []byte, m *core.StudyMaterial, rea
 		if fr.typ != frameEpoch {
 			return nil, nil, fmt.Sprintf("frame %d: type %d where epoch expected", 3+e, fr.typ)
 		}
-		em, err := decodeEpoch(fr.payload, workers, remap)
+		em, err := decodeEpoch(fr.payload, workers, len(entries))
 		if err != nil {
 			return nil, nil, fmt.Sprintf("epoch %d: %v", e, err)
 		}
 		m.Epochs[e] = *em
 	}
+	remap := netsim.InternPayloadDict(entries)
+	for e := range m.Epochs {
+		for _, sm := range m.Epochs[e].Sinks {
+			sm.Blk.RemapPayloads(remap)
+		}
+	}
 	return cfgJSON, m, ""
 }
 
-func decodeEpoch(payload []byte, workers int, remap []netsim.PayloadID) (*core.EpochMaterial, error) {
+func decodeEpoch(payload []byte, workers, dictLen int) (*core.EpochMaterial, error) {
 	r := wire.NewBinReader(payload)
 	em := &core.EpochMaterial{Sinks: make([]core.SinkMaterial, workers)}
 	for w := 0; w < workers; w++ {
@@ -198,7 +215,7 @@ func decodeEpoch(payload []byte, workers int, remap []netsim.PayloadID) (*core.E
 		if err != nil {
 			return nil, fmt.Errorf("worker %d greynoise: %w", w, err)
 		}
-		blk, err := netsim.DecodeRecordBlock(r, remap)
+		blk, err := netsim.DecodeRecordBlock(r, dictLen)
 		if err != nil {
 			return nil, fmt.Errorf("worker %d records: %w", w, err)
 		}

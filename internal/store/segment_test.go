@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/telescope"
+	"cloudwatch/internal/wire"
 )
 
 // reseal returns a copy of a segment image with every frame's checksum
@@ -68,4 +70,49 @@ func FuzzDecodeSegment(f *testing.F) {
 			_, _ = core.RestoreEpochSet(cfg, m)
 		}
 	})
+}
+
+// TestOpenIncompleteSegmentLeavesInternerAlone opens a segment that
+// holds a config frame and a 1,000-entry payload dictionary but no
+// layout frame. Nothing is recovered, and none of the dictionary's
+// payloads may reach the process interner.
+func TestOpenIncompleteSegmentLeavesInternerAlone(t *testing.T) {
+	dict := wire.AppendU32(nil, 1000)
+	for i := 0; i < 1000; i++ {
+		dict = wire.AppendBytes(dict, []byte(fmt.Sprintf("incomplete-segment-payload-%d", i)))
+	}
+	seg := wire.AppendU32([]byte(segMagic), segVersion)
+	seg = appendFrame(seg, frameConfig, []byte(`{}`))
+	seg = appendFrame(seg, frameDict, dict)
+	fsys := NewMemFS()
+	fsys.SetBytes("study/segment", seg)
+
+	before := netsim.PayloadCount()
+	s, err := Open(fsys, "study")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m := s.Recovered(); m != nil {
+		t.Fatal("a segment without a layout frame recovered a study")
+	}
+	if after := netsim.PayloadCount(); after != before {
+		t.Fatalf("opening the incomplete segment grew the interner from %d to %d payloads", before, after)
+	}
+}
+
+// TestSegmentDependsOnTheStudyAlone encodes the same material before
+// and after the process interns 1,000 unrelated payloads: the payload
+// dictionary holds only what the study's records reference, so the
+// segment keeps its length. (Its bytes may still differ: collectors
+// serialize their maps in iteration order.)
+func TestSegmentDependsOnTheStudyAlone(t *testing.T) {
+	_, m := generateTiny(t)
+	before := encodeSegment([]byte(`{}`), m)
+	for i := 0; i < 1000; i++ {
+		netsim.InternPayload([]byte(fmt.Sprintf("unrelated-payload-%d", i)))
+	}
+	after := encodeSegment([]byte(`{}`), m)
+	if len(after) != len(before) {
+		t.Fatalf("segment went from %d to %d bytes after unrelated payloads were interned", len(before), len(after))
+	}
 }

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"cloudwatch/internal/cloud"
 	"cloudwatch/internal/core"
-	"cloudwatch/internal/scanners"
 )
 
 // tinyConfig is deliberately smaller than the other packages' test
@@ -14,11 +12,10 @@ import (
 // the final frame, so the segment has to stay small.
 func tinyConfig(seed int64, year int) core.Config {
 	cfg := core.DefaultConfig(seed, year)
-	cfg.Deploy = cloud.DefaultConfig(seed, year)
 	cfg.Deploy.TelescopeSlash24s = 4
 	cfg.Deploy.HoneytrapPerCloud = 4
 	cfg.Deploy.HurricaneIPs = 4
-	cfg.Actors = scanners.Config{Seed: seed, Year: year, Scale: 0.05}
+	cfg.Scale = 0.05
 	cfg.Workers = 2
 	return cfg
 }

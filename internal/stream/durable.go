@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"cloudwatch/internal/core"
-	"cloudwatch/internal/scanners"
 	"cloudwatch/internal/store"
 )
 
@@ -72,18 +71,18 @@ func Open(cfg Config, st *store.Store) (*Engine, error) {
 // zeroed — both are execution parameters (sharding width, batch
 // truncation) under which results are byte-identical, so material
 // generated at any value of either restores under any other. The
-// scenario id is canonicalized (empty means baseline) so the spelling
-// of "the paper's week" never splits store identity; a genuinely
-// different scenario yields different JSON, which is what makes a
-// store written under one scenario refuse to serve another.
+// config is normalized first (core.Config.Normalized: an unset year
+// means 2021, an unset scenario the baseline), so the spelling of "the
+// paper's week" never splits store identity; a genuinely different
+// scenario yields different JSON, which is what makes a store written
+// under one scenario refuse to serve another.
 func normalizedConfigJSON(cfg Config) (js []byte, epochs int, err error) {
 	if epochs, err = cfg.epochs(); err != nil {
 		return nil, 0, err
 	}
-	study := cfg.Study
+	study := cfg.Study.Normalized()
 	study.Workers = 0
 	study.WindowSec = 0
-	study.Actors.Scenario = scanners.CanonicalScenario(study.Actors.Scenario)
 	js, err = json.Marshal(struct {
 		Epochs int
 		Study  core.Config

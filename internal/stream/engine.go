@@ -133,7 +133,7 @@ func (e *Engine) NumEpochs() int { return e.es.NumEpochs() }
 // generated under. One engine serves exactly one scenario; sweeping
 // several means one engine per scenario (the CLI's one-shot sweep mode
 // does exactly that).
-func (e *Engine) Scenario() string { return e.es.Config().Scenario() }
+func (e *Engine) Scenario() string { return e.es.Config().Scenario }
 
 // Ingested returns how many epochs have been ingested so far.
 func (e *Engine) Ingested() int {
@@ -279,7 +279,7 @@ type SweepRequest struct {
 	// {table2, table5}.
 	Tables []string `json:"tables"`
 	// KMin/KMax bound the top-K width axis, inclusive; zero values
-	// default to 1..10, and KMax may not exceed 32 (maxSweepK).
+	// default to 1..10, and KMax may not exceed 32 (MaxSweepK).
 	KMin int `json:"k_min"`
 	KMax int `json:"k_max"`
 	// Prefixes lists the epoch prefixes to render; empty means every
@@ -335,12 +335,13 @@ func MergeSweepResults(results ...*SweepResult) *SweepResult {
 	return merged
 }
 
-// maxSweepK bounds the top-K axis of a sweep. Each K renders its own
-// grid column and memoizes one family per (table, K) on every prefix
-// snapshot, so an unbounded k_max would let one request render for hours
-// and grow those memos without limit; with the bound a grid is at most
-// 5 tables × maxSweepK × core.MaxEpochs prefixes.
-const maxSweepK = 32
+// MaxSweepK bounds the top-K axis of a sweep, from the API and from the
+// CLI's -sweep-kmax alike. Each K renders its own grid column and
+// memoizes one family per (table, K) on every prefix snapshot, so an
+// unbounded k_max would let one request render for hours and grow
+// those memos without limit; with the bound a grid is at most 5 tables
+// × MaxSweepK × core.MaxEpochs prefixes.
+const MaxSweepK = 32
 
 // normalize validates a request against the engine state and fills
 // defaults. Returned errors enumerate the valid values.
@@ -380,8 +381,8 @@ func (e *Engine) normalize(req SweepRequest) (SweepRequest, error) {
 	if req.KMax == 0 {
 		req.KMax = 10
 	}
-	if req.KMin < 1 || req.KMax < req.KMin || req.KMax > maxSweepK {
-		return req, fmt.Errorf("stream: invalid K range [%d, %d]; need 1 <= k_min <= k_max <= %d", req.KMin, req.KMax, maxSweepK)
+	if req.KMin < 1 || req.KMax < req.KMin || req.KMax > MaxSweepK {
+		return req, fmt.Errorf("stream: invalid K range [%d, %d]; need 1 <= k_min <= k_max <= %d", req.KMin, req.KMax, MaxSweepK)
 	}
 	ingested := e.Ingested()
 	if len(req.Prefixes) == 0 {

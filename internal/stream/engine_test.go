@@ -16,7 +16,7 @@ func testStudyConfig(seed int64, year int) core.Config {
 	cfg.Deploy.TelescopeSlash24s = 32
 	cfg.Deploy.HoneytrapPerCloud = 16
 	cfg.Deploy.HurricaneIPs = 16
-	cfg.Actors.Scale = 0.4
+	cfg.Scale = 0.4
 	return cfg
 }
 

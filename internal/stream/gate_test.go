@@ -58,8 +58,11 @@ func TestIngestCounterGate(t *testing.T) {
 	const (
 		epochs = 8
 		// The segment of the study below: config, payload dictionary
-		// and layout frames, then one frame per epoch.
+		// and layout frames, then one frame per epoch. The dictionary
+		// holds only the study's own payloads, so the length is a
+		// function of the configuration alone.
 		segmentFrames = 3 + epochs
+		segmentBytes  = 10485020
 		// The manifest {"version":1,"ingested":N}\n for one-digit N.
 		manifestBytes = 27
 		// Heap budget of the eight durable ingests once the process is
@@ -71,7 +74,7 @@ func TestIngestCounterGate(t *testing.T) {
 	// The root package's QuickStudy size, with one worker so the
 	// heap cost is a function of the configuration alone.
 	study := testStudyConfig(42, 2021)
-	study.Actors.Scale = 0.35
+	study.Scale = 0.35
 	study.Workers = 1
 	cfg := Config{Study: study, Epochs: epochs}
 
@@ -120,7 +123,10 @@ func TestIngestCounterGate(t *testing.T) {
 	if got := fsyncs1 - fsyncs0; got != 1 {
 		t.Errorf("Open issued %d fsyncs, want 1", got)
 	}
-	if got := bytes1 - bytes0; got != segment || segment == 0 {
+	if segment != segmentBytes {
+		t.Errorf("segment holds %d bytes, want %d", segment, segmentBytes)
+	}
+	if got := bytes1 - bytes0; got != segment {
 		t.Errorf("Open wrote %d bytes, segment holds %d", got, segment)
 	}
 

@@ -14,8 +14,8 @@ import (
 // a thinner population (the scenario suites run several engines).
 func scenarioStudyConfig(seed int64, scenario string) core.Config {
 	cfg := testStudyConfig(seed, 2021)
-	cfg.Actors.Scale = 0.2
-	cfg.Actors.Scenario = scenario
+	cfg.Scale = 0.2
+	cfg.Scenario = scenario
 	return cfg
 }
 
@@ -188,20 +188,21 @@ func TestStoreRefusesScenarioMismatch(t *testing.T) {
 	// pre-scenario config — is a different study.
 	for _, other := range []string{scanners.BaselineScenario, "", "burst-ddos"} {
 		mis := cfg
-		mis.Study.Actors.Scenario = other
+		mis.Study.Scenario = other
 		if _, err := Open(mis, openTestStore(t, fsys)); err == nil {
 			t.Errorf("scenario %q opened a stealth store", other)
 		}
 	}
 }
 
-// TestStoreScenarioCanonicalization checks "" and "baseline" are the
-// same store identity: a store written pre-scenario (empty id) serves
-// a config that says baseline explicitly, and vice versa.
+// TestStoreScenarioCanonicalization checks an unset scenario and year
+// share a store identity with "baseline" and 2021: a store written
+// under the defaults serves a config that spells them out.
 func TestStoreScenarioCanonicalization(t *testing.T) {
 	fsys := store.NewMemFS()
-	implicit := Config{Study: testStudyConfig(42, 2021), Epochs: 2}
-	implicit.Study.Actors.Scale = 0.2
+	implicit := Config{Study: testStudyConfig(42, 0), Epochs: 2}
+	implicit.Study.Scale = 0.2
+	implicit.Study.Scenario = ""
 	eng, err := Open(implicit, openTestStore(t, fsys))
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,8 @@ func TestStoreScenarioCanonicalization(t *testing.T) {
 	}
 
 	explicit := implicit
-	explicit.Study.Actors.Scenario = scanners.BaselineScenario
+	explicit.Study.Year = 2021
+	explicit.Study.Scenario = scanners.BaselineScenario
 	again, err := Open(explicit, openTestStore(t, fsys))
 	if err != nil {
 		t.Fatal(err)

@@ -203,13 +203,13 @@ func TestServerSweepBoundsK(t *testing.T) {
 	before := stageCounts()[obs.StageTableRender]
 	var e errorResponse
 	getJSON(t, ts.URL+"/v1/sweep?kmax=1000000000", http.StatusBadRequest, &e)
-	if want := fmt.Sprintf("k_max <= %d", maxSweepK); !strings.Contains(e.Error, want) {
+	if want := fmt.Sprintf("k_max <= %d", MaxSweepK); !strings.Contains(e.Error, want) {
 		t.Fatalf("error %q does not name the bound (%s)", e.Error, want)
 	}
 	if n := stageCounts()[obs.StageTableRender] - before; n != 0 {
 		t.Fatalf("refused sweep rendered %d tables", n)
 	}
-	getJSON(t, ts.URL+fmt.Sprintf("/v1/sweep?tables=table2&kmin=%d&kmax=%d", maxSweepK, maxSweepK), http.StatusOK, nil)
+	getJSON(t, ts.URL+fmt.Sprintf("/v1/sweep?tables=table2&kmin=%d&kmax=%d", MaxSweepK, MaxSweepK), http.StatusOK, nil)
 }
 
 // TestServerSnapshotSingleflight fires concurrent requests at one cold

@@ -10,7 +10,7 @@ import (
 
 func telUniverse(t *testing.T) *netsim.Universe {
 	t.Helper()
-	u, err := netsim.NewUniverse(1, 2021, nil)
+	u, err := netsim.NewUniverse(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
