@@ -25,11 +25,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -87,42 +89,20 @@ type sweepFlags struct {
 	prefixes string
 }
 
-// sweepRequest validates the sweep flags into an engine request,
-// returning errors that enumerate the valid values.
+// sweepRequest validates the sweep flags into an engine request
+// through the /v1/sweep query parser, so the CLI and the API refuse the
+// same grids. "-sweep-prefixes all" is an absent prefixes parameter.
 func (f sweepFlags) sweepRequest() (stream.SweepRequest, error) {
-	req := stream.SweepRequest{KMin: f.kMin, KMax: f.kMax}
-	if f.epochs < 1 || f.epochs > core.MaxEpochs {
-		return req, fmt.Errorf("-epochs %d: need 1 <= epochs <= %d", f.epochs, core.MaxEpochs)
+	if err := core.CheckEpochs(f.epochs); err != nil {
+		return stream.SweepRequest{}, fmt.Errorf("-epochs: %w", err)
 	}
-	if f.kMin < 1 || f.kMax < f.kMin || f.kMax > stream.MaxSweepK {
-		return req, fmt.Errorf("-sweep-kmin %d -sweep-kmax %d: need 1 <= kmin <= kmax <= %d", f.kMin, f.kMax, stream.MaxSweepK)
+	q := url.Values{"tables": {f.tables}, "kmin": {strconv.Itoa(f.kMin)}, "kmax": {strconv.Itoa(f.kMax)}}
+	if f.prefixes != "all" {
+		q.Set("prefixes", f.prefixes)
 	}
-	valid := core.SweepTables()
-	for _, tbl := range strings.Split(f.tables, ",") {
-		tbl = strings.TrimSpace(tbl)
-		if tbl == "" {
-			continue
-		}
-		ok := false
-		for _, v := range valid {
-			if tbl == v {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return req, fmt.Errorf("-sweep-tables: unknown table %q; valid: %s", tbl, strings.Join(valid, ", "))
-		}
-		req.Tables = append(req.Tables, tbl)
-	}
-	if f.prefixes != "" && f.prefixes != "all" {
-		for _, part := range strings.Split(f.prefixes, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || p < 1 || p > f.epochs {
-				return req, fmt.Errorf("-sweep-prefixes: bad prefix %q; valid: \"all\" or comma-separated epoch counts in 1..%d", part, f.epochs)
-			}
-			req.Prefixes = append(req.Prefixes, p)
-		}
+	req, err := stream.ParseSweepQuery(q, stream.SweepRequest{}, f.epochs)
+	if err != nil {
+		return req, fmt.Errorf("-sweep-* flags: %w", err)
 	}
 	return req, nil
 }
@@ -138,17 +118,11 @@ func validExperiments() string {
 // pattern.
 func parseScenarios(value string, sweep bool) ([]string, error) {
 	var ids []string
-	seen := map[string]bool{}
-	for _, part := range strings.Split(value, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
+	for _, part := range stream.SplitList(value) {
+		if err := scanners.CheckScenario(part); err != nil {
+			return nil, err
 		}
-		if _, ok := scanners.LookupScenario(part); !ok {
-			return nil, fmt.Errorf("unknown scenario %q; valid: %s", part, strings.Join(scanners.Scenarios(), ", "))
-		}
-		if !seen[part] {
-			seen[part] = true
+		if !slices.Contains(ids, part) {
 			ids = append(ids, part)
 		}
 	}
@@ -161,17 +135,10 @@ func parseScenarios(value string, sweep bool) ([]string, error) {
 	return ids, nil
 }
 
-// knownExperiment reports whether an -experiment value is accepted.
+// knownExperiment reports whether an -experiment value is accepted:
+// a registered experiment or one of the three mode names.
 func knownExperiment(name string) bool {
-	if name == "all" || name == "appendix" || name == "sweep" {
-		return true
-	}
-	for _, n := range core.ExperimentNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return core.KnownExperiment(name) || name == "all" || name == "appendix" || name == "sweep"
 }
 
 func main() {
@@ -222,14 +189,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -serve and -experiment sweep are mutually exclusive; use -serve for the HTTP server (sweeps via GET /v1/sweep) or -experiment sweep for a one-shot JSON sweep")
 		os.Exit(2)
 	}
+	cfg, deployment := studyConfig(*seed, *year, *scale, *full, *workers, *experiment, scenarios[0], serveMode)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
 	defer stopProfiles()
-
-	cfg, deployment := studyConfig(*seed, *year, *scale, *full, *workers, *experiment, scenarios[0], serveMode)
 
 	// The chosen deployment prints in every mode — batch, sweep, and
 	// serve — so operators can always tell which telescope they got.
@@ -263,11 +233,7 @@ func main() {
 			fmt.Println(out)
 		}
 	default:
-		out, ok := core.RenderExperiment(study, *experiment)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: %s\n", *experiment, validExperiments())
-			os.Exit(2)
-		}
+		out, _ := core.RenderExperiment(study, *experiment) // validated by knownExperiment
 		fmt.Println(out)
 	}
 

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cloudwatch/internal/core"
+	"cloudwatch/internal/obs"
 	"cloudwatch/internal/stream"
 )
 
@@ -127,7 +131,7 @@ func TestSweepFlagValidation(t *testing.T) {
 	for _, n := range []int{0, core.MaxEpochs + 1} {
 		bad = good
 		bad.epochs = n
-		if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("<= %d", core.MaxEpochs)) {
+		if _, err := bad.sweepRequest(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("[1, %d]", core.MaxEpochs)) {
 			t.Errorf("-epochs %d: error should name the valid range, got %v", n, err)
 		}
 	}
@@ -145,6 +149,92 @@ func TestSweepFlagValidation(t *testing.T) {
 	if len(req.Prefixes) != 2 || req.Prefixes[0] != 2 || req.Prefixes[1] != 4 {
 		t.Fatalf("explicit prefixes = %v", req.Prefixes)
 	}
+}
+
+// TestSweepRejectionsAgreeAcrossCLIAndHTTP sends the same bad sweep
+// inputs through the CLI's flag path and through GET /v1/sweep: both
+// must refuse every one, with the same rule named, and the server must
+// render nothing for them. The server runs with the serve-mode
+// defaults of "-sweep-kmax 4", so an explicit 0 cannot fall back to
+// any default.
+func TestSweepRejectionsAgreeAcrossCLIAndHTTP(t *testing.T) {
+	cfg, _ := studyConfig(42, 2021, 0.1, false, 0, "table2", "baseline", false)
+	cfg.Deploy.TelescopeSlash24s = 32
+	eng, err := stream.New(stream.Config{Study: cfg, Epochs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.IngestAll(); err != nil {
+		t.Fatal(err)
+	}
+	good := sweepFlags{epochs: 2, tables: "table2", kMin: 1, kMax: 4, prefixes: "all"}
+	defaults, err := good.sweepRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := stream.NewServer(eng)
+	srv.SetLogger(nil)
+	srv.SetSweepDefaults(defaults)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	cases := []struct {
+		name  string
+		flags func(*sweepFlags)
+		flag  string // -scenario value, when the case is about scenarios
+		query string
+		want  string // what both errors must name
+	}{
+		{"unknown table", func(f *sweepFlags) { f.tables = "table3" }, "", "tables=table3", "table10"},
+		{"inverted K range", func(f *sweepFlags) { f.kMin, f.kMax = 4, 2 }, "", "kmin=4&kmax=2", "k_min <= k_max"},
+		{"K above MaxSweepK", func(f *sweepFlags) { f.kMax = stream.MaxSweepK + 1 }, "",
+			fmt.Sprintf("kmax=%d", stream.MaxSweepK+1), fmt.Sprintf("<= %d", stream.MaxSweepK)},
+		{"explicit kmin 0", func(f *sweepFlags) { f.kMin = 0 }, "", "kmin=0", "1 <= k_min"},
+		{"explicit kmax 0", func(f *sweepFlags) { f.kMax = 0 }, "", "kmax=0", "1 <= k_min"},
+		{"explicit K of 0", func(f *sweepFlags) { f.kMin, f.kMax = 0, 0 }, "", "tables=table2&kmin=0&kmax=0&prefixes=1", "1 <= k_min"},
+		{"prefix out of range", func(f *sweepFlags) { f.prefixes = "1,3" }, "", "prefixes=1,3", "1..2"},
+		{"unknown scenario", nil, "bogus", "scenario=bogus", "attack-platform"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var cliErr error
+			if tc.flags != nil {
+				f := good
+				tc.flags(&f)
+				_, cliErr = f.sweepRequest()
+			} else {
+				_, cliErr = parseScenarios(tc.flag, true)
+			}
+			if cliErr == nil || !strings.Contains(cliErr.Error(), tc.want) {
+				t.Errorf("CLI: error %v, want one naming %q", cliErr, tc.want)
+			}
+
+			before := renders()
+			resp, err := http.Get(ts.URL + "/v1/sweep?" + tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, tc.want) {
+				t.Errorf("HTTP: %d %q (%v), want 400 naming %q", resp.StatusCode, body.Error, err, tc.want)
+			}
+			if n := renders() - before; n != 0 {
+				t.Errorf("HTTP: refused sweep rendered %d tables", n)
+			}
+		})
+	}
+}
+
+// renders returns the process-wide count of table_render spans.
+func renders() uint64 {
+	for _, st := range obs.DefaultTracer().Summary() {
+		if st.Stage == obs.StageTableRender {
+			return st.Count
+		}
+	}
+	return 0
 }
 
 // TestKnownExperiment pins the accepted -experiment values, including

@@ -46,11 +46,10 @@ const TopK = 3
 
 // labelAtK renders a characteristic's table label at an explicit top-K
 // width: the paper's fixed "Top 3 ..." names at the default width
-// (k == TopK, or k == 0 for results predating the K axis), the actual
-// width otherwise — so a K=5 sweep cell does not claim a top-3
-// statistic.
+// (k == TopK), the actual width otherwise — so a K=5 sweep cell does
+// not claim a top-3 statistic.
 func labelAtK(c Characteristic, k int) string {
-	if k == 0 || k == TopK || c == CharFracMalicious {
+	if k == TopK || c == CharFracMalicious {
 		return c.String()
 	}
 	return strings.Replace(c.String(), "Top 3", "Top "+strconv.Itoa(k), 1)
@@ -123,15 +122,6 @@ func (f *Family) Significant() []PairResult {
 		}
 	}
 	return out
-}
-
-// FractionSignificant returns |Significant| / |testable|.
-func (f *Family) FractionSignificant() float64 {
-	m := f.Comparisons()
-	if m == 0 {
-		return 0
-	}
-	return float64(len(f.Significant())) / float64(m)
 }
 
 // AvgSignificantV returns the mean Cramér's V over significant pairs

@@ -36,7 +36,7 @@ type Table4Cell struct {
 // Table4Result reproduces Table 4 (and Table 16 on the 2020 config).
 type Table4Result struct {
 	Year  int
-	K     int // top-K width the families compared (0 = TopK)
+	K     int // top-K width the families compared
 	Cells []Table4Cell
 }
 
@@ -208,7 +208,7 @@ type Table5Cell struct {
 // Table5Result reproduces Table 5 (and Table 13 on the 2020 config).
 type Table5Result struct {
 	Year  int
-	K     int // top-K width the families compared (0 = TopK)
+	K     int // top-K width the families compared
 	Cells []Table5Cell
 }
 

@@ -24,7 +24,7 @@ type Table2Cell struct {
 // services.
 type Table2Result struct {
 	Year  int
-	K     int // top-K width the families compared (0 = TopK)
+	K     int // top-K width the families compared
 	Cells []Table2Cell
 }
 

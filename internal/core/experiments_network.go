@@ -26,7 +26,7 @@ type Table7Cell struct {
 // configs): differences across network types.
 type Table7Result struct {
 	Year  int
-	K     int // top-K width the families compared (0 = TopK)
+	K     int // top-K width the families compared
 	Cells []Table7Cell
 }
 
@@ -319,7 +319,7 @@ type Table10Cell struct {
 // Table10Result reproduces Table 10 (and Table 15 on the 2022 config).
 type Table10Result struct {
 	Year  int
-	K     int // top-K width the families compared (0 = TopK)
+	K     int // top-K width the families compared
 	Cells []Table10Cell
 }
 
@@ -400,11 +400,7 @@ func (s *Study) Table10AtK(k int) Table10Result {
 
 // Render formats Table 10.
 func (r Table10Result) Render() string {
-	k := r.K
-	if k == 0 {
-		k = TopK
-	}
-	title := fmt.Sprintf("Table 10 (%d): different scanners target telescopes (top-%d AS comparisons)", r.Year, k)
+	title := fmt.Sprintf("Table 10 (%d): different scanners target telescopes (top-%d AS comparisons)", r.Year, r.K)
 	t := newTable(title, "Protocol", "Tel-EDU dif", "Tel-EDU phi", "Tel-Cloud dif", "Tel-Cloud phi")
 	type row struct{ edu, cloud Table10Cell }
 	rows := map[ProtocolSlice]*row{}

@@ -7,17 +7,61 @@ import "cloudwatch/internal/obs"
 // streaming study server both resolve experiment names through it, so
 // "valid experiment" means the same thing everywhere.
 
-// experimentOrder lists every renderable experiment in render order.
-var experimentOrder = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6",
-	"table7", "table8", "table9", "table10", "table11", "figure1",
+// experiment is one registry entry: its name, its renderer, and — for
+// the §3.3 comparison tables whose families take a top-K width — its
+// renderer at an explicit K (nil for every other experiment).
+type experiment struct {
+	name      string
+	render    func(*Study) string
+	renderAtK func(*Study, int) string
+}
+
+// experiments lists every renderable experiment in render order.
+var experiments = []experiment{
+	{"table1", func(s *Study) string { return s.Table1().Render() }, nil},
+	{"table2", func(s *Study) string { return s.Table2().Render() },
+		func(s *Study, k int) string { return s.Table2AtK(k).Render() }},
+	{"table3", func(s *Study) string { return s.Table3().Render() }, nil},
+	{"table4", func(s *Study) string { return s.Table4().Render() },
+		func(s *Study, k int) string { return s.Table4AtK(k).Render() }},
+	{"table5", func(s *Study) string { return s.Table5().Render() },
+		func(s *Study, k int) string { return s.Table5AtK(k).Render() }},
+	{"table6", func(s *Study) string { return s.Table6().Render() }, nil},
+	{"table7", func(s *Study) string { return s.Table7().Render() },
+		func(s *Study, k int) string { return s.Table7AtK(k).Render() }},
+	{"table8", func(s *Study) string { return s.Table8().Render() }, nil},
+	{"table9", func(s *Study) string { return s.Table9().Render() }, nil},
+	{"table10", func(s *Study) string { return s.Table10().Render() },
+		func(s *Study, k int) string { return s.Table10AtK(k).Render() }},
+	{"table11", func(s *Study) string { return s.Table11().Render() }, nil},
+	{"figure1", func(s *Study) string { return s.Figure1().Render() }, nil},
+}
+
+// lookup returns the registry entry of name.
+func lookup(name string) (experiment, bool) {
+	for _, e := range experiments {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
+}
+
+// names returns the names of the entries keep accepts, in render
+// order. The slice is fresh; callers may keep or modify it.
+func names(keep func(experiment) bool) []string {
+	var out []string
+	for _, e := range experiments {
+		if keep(e) {
+			out = append(out, e.name)
+		}
+	}
+	return out
 }
 
 // ExperimentNames returns the renderable experiment names in the
-// paper's order. The slice is fresh; callers may keep or modify it.
-func ExperimentNames() []string {
-	return append([]string(nil), experimentOrder...)
-}
+// paper's order.
+func ExperimentNames() []string { return names(func(experiment) bool { return true }) }
 
 // AppendixExperiments returns the table subset the "appendix" selection
 // renders (Tables 12–17 are the 2020/2022 variants of these).
@@ -30,60 +74,26 @@ func AppendixExperiments() []string {
 // an unknown name fails the same way whatever else the request got
 // wrong.
 func KnownExperiment(name string) bool {
-	for _, n := range experimentOrder {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	_, ok := lookup(name)
+	return ok
 }
+
+// SweepTables lists the experiments the K-sweep engine can drive —
+// the §3.3 comparison tables whose families take a top-K width.
+func SweepTables() []string { return names(func(e experiment) bool { return e.renderAtK != nil }) }
 
 // RenderExperiment renders one named experiment of a study, reporting
 // ok=false for unknown names. Every successful render is traced as one
 // table_render stage span; unknown names record nothing.
 func RenderExperiment(s *Study, name string) (string, bool) {
+	e, ok := lookup(name)
+	if !ok {
+		return "", false
+	}
 	sp := obs.StartStage(obs.StageTableRender)
-	out, ok := renderExperiment(s, name)
-	if ok {
-		sp.End()
-	}
-	return out, ok
-}
-
-func renderExperiment(s *Study, name string) (string, bool) {
-	switch name {
-	case "table1":
-		return s.Table1().Render(), true
-	case "table2":
-		return s.Table2().Render(), true
-	case "table3":
-		return s.Table3().Render(), true
-	case "table4":
-		return s.Table4().Render(), true
-	case "table5":
-		return s.Table5().Render(), true
-	case "table6":
-		return s.Table6().Render(), true
-	case "table7":
-		return s.Table7().Render(), true
-	case "table8":
-		return s.Table8().Render(), true
-	case "table9":
-		return s.Table9().Render(), true
-	case "table10":
-		return s.Table10().Render(), true
-	case "table11":
-		return s.Table11().Render(), true
-	case "figure1":
-		return s.Figure1().Render(), true
-	}
-	return "", false
-}
-
-// SweepTables lists the experiments the K-sweep engine can drive —
-// the §3.3 comparison tables whose families take a top-K width.
-func SweepTables() []string {
-	return []string{"table2", "table4", "table5", "table7", "table10"}
+	out := e.render(s)
+	sp.End()
+	return out, true
 }
 
 // RenderExperimentAtK renders one sweepable table at an explicit top-K
@@ -91,26 +101,12 @@ func SweepTables() []string {
 // reuses the exact memo entries the plain tables populate. Successful
 // renders trace as table_render spans, like RenderExperiment.
 func RenderExperimentAtK(s *Study, name string, k int) (string, bool) {
+	e, ok := lookup(name)
+	if !ok || e.renderAtK == nil {
+		return "", false
+	}
 	sp := obs.StartStage(obs.StageTableRender)
-	out, ok := renderExperimentAtK(s, name, k)
-	if ok {
-		sp.End()
-	}
-	return out, ok
-}
-
-func renderExperimentAtK(s *Study, name string, k int) (string, bool) {
-	switch name {
-	case "table2":
-		return s.Table2AtK(k).Render(), true
-	case "table4":
-		return s.Table4AtK(k).Render(), true
-	case "table5":
-		return s.Table5AtK(k).Render(), true
-	case "table7":
-		return s.Table7AtK(k).Render(), true
-	case "table10":
-		return s.Table10AtK(k).Render(), true
-	}
-	return "", false
+	out := e.renderAtK(s, k)
+	sp.End()
+	return out, true
 }

@@ -155,4 +155,11 @@ func TestRunRejectsInvalidActorConfig(t *testing.T) {
 	if _, err := GenerateEpochs(neg, 2); err == nil {
 		t.Error("GenerateEpochs with negative scale succeeded")
 	}
+	year := testConfig(42, 2019)
+	if err := year.Validate(); err == nil || !strings.Contains(err.Error(), "2019") {
+		t.Errorf("Validate with year 2019: err = %v", err)
+	}
+	if _, err := Run(year); err == nil || !strings.Contains(err.Error(), "2019") {
+		t.Errorf("Run with year 2019: err = %v", err)
+	}
 }

@@ -34,6 +34,15 @@ import (
 // run has reached in one 64-bit mask.
 const MaxEpochs = 64
 
+// CheckEpochs is the one epoch-count rule, shared by the generator,
+// stream.Config and the CLI's -epochs: 1 <= n <= MaxEpochs.
+func CheckEpochs(n int) error {
+	if n < 1 || n > MaxEpochs {
+		return fmt.Errorf("%d epochs out of range [1, %d]", n, MaxEpochs)
+	}
+	return nil
+}
+
 // epochSink is one (worker, epoch) cell of the partitioned pipeline:
 // the records, telescope aggregation, and GreyNoise delta of the
 // probes one worker routed into one epoch. seq is the per-actor
@@ -247,8 +256,8 @@ func generate(cfg Config, epochs int) (*EpochSet, error) {
 // scenario is validated first, so a typoed scenario id fails with the
 // registered ids enumerated, not halfway into a deployment build.
 func newEpochSet(cfg Config, epochs int) (*EpochSet, error) {
-	if epochs < 1 || epochs > MaxEpochs {
-		return nil, fmt.Errorf("core: %d epochs out of range [1, %d]", epochs, MaxEpochs)
+	if err := CheckEpochs(epochs); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	cfg = cfg.Normalized()
 	actors, err := scanners.PopulationFor(cfg.population())

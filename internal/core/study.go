@@ -66,6 +66,11 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// Validate checks the study parameters the actor population is built
+// from — year, scale and scenario — without building anything, so a
+// caller can refuse a bad config before paying for generation.
+func (c Config) Validate() error { return c.population().Validate() }
+
 // population returns the scanners' parameters of the study.
 func (c Config) population() scanners.Config {
 	return scanners.Config{Seed: c.Seed, Year: c.Year, Scale: c.Scale, Scenario: c.Scenario}

@@ -138,14 +138,6 @@ func (v *View) Add(rec netsim.Record, malicious bool) {
 	}
 }
 
-// FractionMalicious returns the §3.2 malicious share of the slice.
-func (v *View) FractionMalicious() float64 {
-	if v.Total == 0 {
-		return 0
-	}
-	return v.Malicious / v.Total
-}
-
 // payloadKey normalizes a payload for comparison, dropping the
 // ephemeral header values the paper strips (Date, Host,
 // Content-Length) and truncating for table readability.

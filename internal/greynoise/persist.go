@@ -2,6 +2,8 @@ package greynoise
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"cloudwatch/internal/wire"
 )
@@ -11,15 +13,15 @@ import (
 // run caches are observe-time transients, and a restored delta is only
 // ever folded into a Service with MergeDelta.
 
-// AppendBinary serializes the delta's observation sets onto dst.
+// AppendBinary serializes the delta's observation sets onto dst, each
+// in sorted address order, so the same delta always encodes to the
+// same bytes.
 func (d *Delta) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendU32(dst, uint32(len(d.seen)))
-	for src := range d.seen {
-		dst = wire.AppendU32(dst, uint32(src))
-	}
-	dst = wire.AppendU32(dst, uint32(len(d.exploited)))
-	for src := range d.exploited {
-		dst = wire.AppendU32(dst, uint32(src))
+	for _, set := range []map[wire.Addr]struct{}{d.seen, d.exploited} {
+		dst = wire.AppendU32(dst, uint32(len(set)))
+		for _, src := range slices.Sorted(maps.Keys(set)) {
+			dst = wire.AppendU32(dst, uint32(src))
+		}
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package ids
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,4 +141,27 @@ func TestParseRulesReportsLine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("err = %v, want line-2 error", err)
 	}
+}
+
+// FuzzParseRule feeds arbitrary lines to the rule parser: it must never
+// panic, and every rule it accepts must re-parse from its String() to
+// the same rule.
+func FuzzParseRule(f *testing.F) {
+	for _, line := range strings.Split(DefaultRuleText, "\n") {
+		f.Add(line)
+	}
+	f.Add(`alert udp any any <> any [53, 1000:2000] (msg:"x\"y"; content:!"|00 ff|a"; offset:1; depth:4; content:"b"; distance:0; within:9; sid:7;)`)
+	f.Fuzz(func(t *testing.T, line string) {
+		r, ok, err := ParseRule(line)
+		if err != nil || !ok {
+			return
+		}
+		again, ok, err := ParseRule(r.String())
+		if err != nil || !ok {
+			t.Fatalf("ParseRule(%q) accepted, but its String() %q does not re-parse: ok=%v err=%v", line, r.String(), ok, err)
+		}
+		if !reflect.DeepEqual(r, again) {
+			t.Fatalf("ParseRule(%q) = %+v, re-parsed from String() as %+v", line, r, again)
+		}
+	})
 }

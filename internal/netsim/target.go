@@ -215,10 +215,6 @@ func (p *Probe) PayID() PayloadID {
 	return InternPayload(p.Payload)
 }
 
-// HasPayload reports whether the probe carries any payload bytes,
-// interned or raw.
-func (p *Probe) HasPayload() bool { return p.Pay != 0 || len(p.Payload) > 0 }
-
 // Record is a probe as observed by a collector: the collector decides
 // which fields survive (telescopes drop payloads and credentials;
 // GreyNoise drops payloads on interactive ports but keeps

@@ -100,17 +100,33 @@ func ScenarioDescription(id string) string {
 	return ""
 }
 
-// Validate checks a population config: a negative Scale is rejected
-// here instead of silently falling through to 1.0 inside scale(), and
-// an unregistered scenario id fails with the registered ids enumerated
-// (matching the CLI's -experiment error shape).
+// CheckScenario reports whether id names a registered scenario ("" is
+// the baseline). The error enumerates the registered ids; it is the
+// one "unknown scenario" rule, shared by Validate, the CLI's -scenario
+// flag and the serving API.
+func CheckScenario(id string) error {
+	if _, ok := LookupScenario(id); !ok {
+		return fmt.Errorf("unknown scenario %q; valid: %s", id, strings.Join(Scenarios(), ", "))
+	}
+	return nil
+}
+
+// Validate checks a population config: a year other than the three
+// dataset years (0 meaning 2021) is rejected instead of rendering its
+// title over the 2021 population, a negative Scale instead of silently
+// falling through to 1.0 inside scale(), and an unregistered scenario
+// id fails with the registered ids enumerated.
 func (c Config) Validate() error {
+	switch c.Year {
+	case 0, 2020, 2021, 2022:
+	default:
+		return fmt.Errorf("scanners: unknown year %d; valid: 2020, 2021, 2022 (0 means 2021)", c.Year)
+	}
 	if c.Scale < 0 {
 		return fmt.Errorf("scanners: negative population scale %v; use 0 for the default (1.0)", c.Scale)
 	}
-	if _, ok := LookupScenario(c.Scenario); !ok {
-		return fmt.Errorf("scanners: unknown scenario %q; valid: %s",
-			c.Scenario, strings.Join(Scenarios(), ", "))
+	if err := CheckScenario(c.Scenario); err != nil {
+		return fmt.Errorf("scanners: %w", err)
 	}
 	return nil
 }

@@ -56,7 +56,9 @@ func TestRegisterScenarioPanics(t *testing.T) {
 
 // TestConfigValidate pins the Scale edge behavior fix: a negative
 // scale is an error at validation time instead of silently meaning
-// 1.0, and an unknown scenario enumerates the registered ids.
+// 1.0, and an unknown scenario enumerates the registered ids. Only the
+// three dataset years (and 0, meaning 2021) validate: any other year
+// used to render its own title over the 2021 population.
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{Seed: 1, Year: 2021},                    // zero scale = default
@@ -64,6 +66,8 @@ func TestConfigValidate(t *testing.T) {
 		{Seed: 1, Scale: 1, Scenario: "stealth"}, // registered pack
 		{Seed: 1, Scale: 2.5, Scenario: ""},      // empty = baseline
 		{Seed: 1, Scale: 1, Scenario: BaselineScenario},
+		{Seed: 1, Year: 2020},
+		{Seed: 1, Year: 2022},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -74,6 +78,12 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("negative scale accepted")
 	} else if !strings.Contains(err.Error(), "-0.5") {
 		t.Errorf("negative-scale error should name the value, got %v", err)
+	}
+	for _, year := range []int{2019, 2023, 1, -2021} {
+		err := (Config{Seed: 1, Year: year}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "2020, 2021, 2022") {
+			t.Errorf("year %d: error %v should list the dataset years", year, err)
+		}
 	}
 	err := (Config{Seed: 1, Scale: 1, Scenario: "bogus"}).Validate()
 	if err == nil {

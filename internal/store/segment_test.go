@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -102,9 +103,9 @@ func TestOpenIncompleteSegmentLeavesInternerAlone(t *testing.T) {
 
 // TestSegmentDependsOnTheStudyAlone encodes the same material before
 // and after the process interns 1,000 unrelated payloads: the payload
-// dictionary holds only what the study's records reference, so the
-// segment keeps its length. (Its bytes may still differ: collectors
-// serialize their maps in iteration order.)
+// dictionary holds only what the study's records reference, and every
+// collector writes its maps in sorted key order, so the segment is the
+// same bytes.
 func TestSegmentDependsOnTheStudyAlone(t *testing.T) {
 	_, m := generateTiny(t)
 	before := encodeSegment([]byte(`{}`), m)
@@ -114,5 +115,8 @@ func TestSegmentDependsOnTheStudyAlone(t *testing.T) {
 	after := encodeSegment([]byte(`{}`), m)
 	if len(after) != len(before) {
 		t.Fatalf("segment went from %d to %d bytes after unrelated payloads were interned", len(before), len(after))
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatal("encoding the same material twice gave different bytes")
 	}
 }

@@ -12,8 +12,7 @@ package stream
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,13 +56,13 @@ type Config struct {
 const DefaultEpochs = 8
 
 // epochs resolves the configured epoch count, rejecting counts outside
-// [1, core.MaxEpochs] with the valid range in the error.
+// [1, core.MaxEpochs] (core.CheckEpochs) before any store is touched.
 func (c Config) epochs() (int, error) {
-	switch {
-	case c.Epochs == 0:
+	if c.Epochs == 0 {
 		return DefaultEpochs, nil
-	case c.Epochs < 1 || c.Epochs > core.MaxEpochs:
-		return 0, fmt.Errorf("stream: %d epochs out of range [1, %d]", c.Epochs, core.MaxEpochs)
+	}
+	if err := core.CheckEpochs(c.Epochs); err != nil {
+		return 0, fmt.Errorf("stream: %w", err)
 	}
 	return c.Epochs, nil
 }
@@ -343,70 +342,46 @@ func MergeSweepResults(results ...*SweepResult) *SweepResult {
 // × MaxSweepK × core.MaxEpochs prefixes.
 const MaxSweepK = 32
 
-// normalize validates a request against the engine state and fills
-// defaults. Returned errors enumerate the valid values.
+// serves answers "is scenario id served here?" for the sweep's
+// scenario axis and the server's ?scenario= assertion alike: an
+// unknown id's error lists the registered ids, a registered but
+// inactive one's names the active scenario.
+func (e *Engine) serves(id string) error {
+	if err := scanners.CheckScenario(id); err != nil {
+		return err
+	}
+	if active := e.Scenario(); scanners.CanonicalScenario(id) != active {
+		return fmt.Errorf("scenario %q is not served here (active scenario: %s)", id, active)
+	}
+	return nil
+}
+
+// normalize fills a request's defaults against the engine state,
+// validates it against the ingested prefixes, and collapses duplicate
+// prefixes (they would double-count renders).
 func (e *Engine) normalize(req SweepRequest) (SweepRequest, error) {
-	active := e.Scenario()
+	req = req.withDefaults()
 	if len(req.Scenarios) == 0 {
-		req.Scenarios = []string{active}
+		req.Scenarios = []string{e.Scenario()}
 	}
 	for _, id := range req.Scenarios {
-		if _, ok := scanners.LookupScenario(id); !ok {
-			return req, fmt.Errorf("stream: unknown scenario %q; valid: %s",
-				id, strings.Join(scanners.Scenarios(), ", "))
+		if err := e.serves(id); err != nil {
+			return req, fmt.Errorf("stream: %w", err)
 		}
-		if scanners.CanonicalScenario(id) != active {
-			return req, fmt.Errorf("stream: scenario %q is not served by this engine (active scenario: %s)", id, active)
-		}
-	}
-	if len(req.Tables) == 0 {
-		req.Tables = []string{"table2", "table5"}
-	}
-	valid := core.SweepTables()
-	for _, tbl := range req.Tables {
-		ok := false
-		for _, v := range valid {
-			if tbl == v {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return req, fmt.Errorf("stream: unknown sweep table %q; valid: %s", tbl, strings.Join(valid, ", "))
-		}
-	}
-	if req.KMin == 0 {
-		req.KMin = 1
-	}
-	if req.KMax == 0 {
-		req.KMax = 10
-	}
-	if req.KMin < 1 || req.KMax < req.KMin || req.KMax > MaxSweepK {
-		return req, fmt.Errorf("stream: invalid K range [%d, %d]; need 1 <= k_min <= k_max <= %d", req.KMin, req.KMax, MaxSweepK)
 	}
 	ingested := e.Ingested()
+	if err := req.validate(ingested); err != nil {
+		return req, fmt.Errorf("stream: %w", err)
+	}
 	if len(req.Prefixes) == 0 {
 		for p := 1; p <= ingested; p++ {
 			req.Prefixes = append(req.Prefixes, p)
 		}
-	} else {
-		sorted := append([]int(nil), req.Prefixes...)
-		sort.Ints(sorted)
-		deduped := make([]int, 0, len(sorted))
-		for _, p := range sorted {
-			if p < 1 || p > ingested {
-				return req, fmt.Errorf("stream: prefix %d not ingested; valid: 1..%d", p, ingested)
-			}
-			if n := len(deduped); n > 0 && deduped[n-1] == p {
-				continue // duplicates would double-count renders
-			}
-			deduped = append(deduped, p)
-		}
-		req.Prefixes = deduped
 	}
 	if len(req.Prefixes) == 0 {
 		return req, fmt.Errorf("stream: nothing ingested yet; call IngestNext first")
 	}
+	req.Prefixes = slices.Compact(slices.Sorted(slices.Values(req.Prefixes)))
 	return req, nil
 }
 
@@ -432,10 +407,7 @@ func (e *Engine) Sweep(req SweepRequest) (*SweepResult, error) {
 		_, end := e.es.Window(p - 1)
 		for k := req.KMin; k <= req.KMax; k++ {
 			for _, tbl := range req.Tables {
-				out, ok := core.RenderExperimentAtK(snap, tbl, k)
-				if !ok {
-					return nil, fmt.Errorf("stream: unknown sweep table %q; valid: %s", tbl, strings.Join(core.SweepTables(), ", "))
-				}
+				out, _ := core.RenderExperimentAtK(snap, tbl, k) // tables validated by normalize
 				res.Cells = append(res.Cells, SweepCell{
 					Scenario:  e.Scenario(),
 					Prefix:    p,

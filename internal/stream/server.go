@@ -331,28 +331,6 @@ func (s *Server) handleStatus(eng *Engine, w http.ResponseWriter, r *http.Reques
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// scenarioGuard enforces an optional scenario assertion on a request:
-// "" passes (no assertion), an unregistered id 404s with the
-// registered ids enumerated, and a registered id this engine does not
-// serve 404s naming the active scenario. Reports whether the request
-// may proceed.
-func (s *Server) scenarioGuard(eng *Engine, w http.ResponseWriter, id string) bool {
-	if id == "" {
-		return true
-	}
-	if _, ok := scanners.LookupScenario(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q; valid: %s",
-			id, strings.Join(scanners.Scenarios(), ", ")))
-		return false
-	}
-	if scanners.CanonicalScenario(id) != eng.Scenario() {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("scenario %q is not served here (active scenario: %s)",
-			id, eng.Scenario()))
-		return false
-	}
-	return true
-}
-
 type snapshotResponse struct {
 	Scenario   string `json:"scenario"`
 	Prefix     int    `json:"prefix"`
@@ -382,8 +360,11 @@ func (s *Server) handleSnapshot(eng *Engine, w http.ResponseWriter, r *http.Requ
 	// An optional scenario assertion: clients pinned to one scenario
 	// pass ?scenario= and get a 404 instead of another world's table if
 	// they reach the wrong server.
-	if !s.scenarioGuard(eng, w, r.URL.Query().Get("scenario")) {
-		return
+	if id := r.URL.Query().Get("scenario"); id != "" {
+		if err := eng.serves(id); err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
+			return
+		}
 	}
 	snap, err := eng.Snapshot(prefix)
 	if err != nil {
@@ -426,55 +407,15 @@ func (s *Server) handleSnapshot(eng *Engine, w http.ResponseWriter, r *http.Requ
 	})
 }
 
+// handleSweep answers one sweep grid. The query is read by
+// ParseSweepQuery over the server's defaults and validated against the
+// ingested prefixes before anything renders; scenarios this engine does
+// not serve fail inside Sweep.
 func (s *Server) handleSweep(eng *Engine, w http.ResponseWriter, r *http.Request) {
-	req := s.sweepDefaults
-	q := r.URL.Query()
-	if v := q.Get("tables"); v != "" {
-		// Trim whitespace and skip empty parts, matching the CLI's
-		// -sweep-tables parsing: "table2, table5" and trailing commas
-		// are fine; a list of only empty parts falls back to the
-		// defaults like an absent parameter.
-		var tables []string
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				tables = append(tables, part)
-			}
-		}
-		if len(tables) > 0 {
-			req.Tables = tables
-		}
-	}
-	var err error
-	if req.KMin, err = intParam(q.Get("kmin"), req.KMin); err != nil {
-		writeError(w, http.StatusBadRequest, "bad kmin: "+err.Error())
+	req, err := ParseSweepQuery(r.URL.Query(), s.sweepDefaults, eng.Ingested())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if req.KMax, err = intParam(q.Get("kmax"), req.KMax); err != nil {
-		writeError(w, http.StatusBadRequest, "bad kmax: "+err.Error())
-		return
-	}
-	if v := q.Get("prefixes"); v != "" {
-		req.Prefixes = nil
-		for _, part := range strings.Split(v, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("bad prefix %q in prefixes", part))
-				return
-			}
-			req.Prefixes = append(req.Prefixes, p)
-		}
-	}
-	// The scenario axis ("scenario" and "scenarios" are synonyms):
-	// absent means the engine's own scenario; unknown or not-served
-	// values fail inside Sweep's normalization with the registered
-	// (resp. active) ids enumerated.
-	if v := q.Get("scenarios") + "," + q.Get("scenario"); strings.Trim(v, ", \t") != "" {
-		req.Scenarios = nil
-		for _, part := range strings.Split(v, ",") {
-			if part = strings.TrimSpace(part); part != "" {
-				req.Scenarios = append(req.Scenarios, part)
-			}
-		}
 	}
 	res, err := eng.Sweep(req)
 	if err != nil {
@@ -508,13 +449,6 @@ func (s *Server) handleIngest(eng *Engine, w http.ResponseWriter, r *http.Reques
 		resp.Records = eng.EpochRecords(prefix - 1)
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func intParam(v string, def int) (int, error) {
-	if v == "" {
-		return def, nil
-	}
-	return strconv.Atoi(v)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

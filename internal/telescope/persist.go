@@ -2,6 +2,8 @@ package telescope
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"cloudwatch/internal/stats"
 	"cloudwatch/internal/wire"
@@ -15,36 +17,41 @@ import (
 // tables are complete.
 
 // AppendBinary serializes the collector's aggregated state onto dst.
+// Every map is written in sorted key order, so the same state always
+// encodes to the same bytes.
 func (c *Collector) AppendBinary(dst []byte) []byte {
 	c.flushAS()
 	dst = wire.AppendU64(dst, uint64(c.packets))
 
 	dst = wire.AppendU32(dst, uint32(len(c.watch)))
-	for port := range c.watch {
+	for _, port := range slices.Sorted(maps.Keys(c.watch)) {
 		dst = wire.AppendU16(dst, port)
 	}
 
 	dst = wire.AppendU32(dst, uint32(len(c.srcsByPort)))
-	for port, srcs := range c.srcsByPort {
+	for _, port := range slices.Sorted(maps.Keys(c.srcsByPort)) {
+		srcs := c.srcsByPort[port]
 		dst = wire.AppendU16(dst, port)
 		dst = wire.AppendU32(dst, uint32(len(srcs)))
-		for s := range srcs {
+		for _, s := range slices.Sorted(maps.Keys(srcs)) {
 			dst = wire.AppendU32(dst, uint32(s))
 		}
 	}
 
 	dst = wire.AppendU32(dst, uint32(len(c.asByPort)))
-	for port, freq := range c.asByPort {
+	for _, port := range slices.Sorted(maps.Keys(c.asByPort)) {
+		freq := c.asByPort[port]
 		dst = wire.AppendU16(dst, port)
 		dst = wire.AppendU32(dst, uint32(len(freq)))
-		for k, v := range freq {
+		for _, k := range slices.Sorted(maps.Keys(freq)) {
 			dst = wire.AppendString(dst, k)
-			dst = wire.AppendF64(dst, v)
+			dst = wire.AppendF64(dst, freq[k])
 		}
 	}
 
 	dst = wire.AppendU32(dst, uint32(len(c.perAddr)))
-	for port, log := range c.perAddr {
+	for _, port := range slices.Sorted(maps.Keys(c.perAddr)) {
+		log := c.perAddr[port]
 		dst = wire.AppendU16(dst, port)
 		dst = wire.AppendAddrs(dst, log.dst)
 		dst = wire.AppendAddrs(dst, log.src)

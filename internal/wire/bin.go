@@ -82,9 +82,6 @@ func (r *BinReader) Err() error { return r.err }
 // Len returns the number of unread bytes.
 func (r *BinReader) Len() int { return len(r.buf) - r.off }
 
-// Rest returns the unread tail without consuming it.
-func (r *BinReader) Rest() []byte { return r.buf[r.off:] }
-
 func (r *BinReader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("wire: truncated %s at offset %d", what, r.off)
