@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cloudwatch/internal/cloud"
@@ -184,39 +185,42 @@ var Table8Ports = []uint16{23, 2323, 80, 8080, 21, 2222, 25, 7547, 22, 443}
 // cloud networks, and education networks.
 func (s *Study) Table8() Table8Result {
 	var res Table8Result
-	for _, port := range Table8Ports {
-		cloudSrcs := s.networkSources(port, netsim.KindCloud, false)
-		eduSrcs := s.networkSources(port, netsim.KindEducation, false)
+	cloudSrcs := s.networkSources(Table8Ports, netsim.KindCloud, false)
+	eduSrcs := s.networkSources(Table8Ports, netsim.KindEducation, false)
+	for i, port := range Table8Ports {
 		telSrcs := s.Tel.UniqueSources(port)
 		res.Rows = append(res.Rows, Table8Row{
 			Port:          port,
-			TelCloudFrac:  overlapFrac(telSrcs, cloudSrcs, cloudSrcs),
-			TelEDUFrac:    overlapFrac(telSrcs, eduSrcs, eduSrcs),
-			CloudEDUFrac:  overlapFrac(cloudSrcs, eduSrcs, cloudSrcs),
-			CloudScanners: len(cloudSrcs),
-			EDUScanners:   len(eduSrcs),
+			TelCloudFrac:  overlapFrac(telSrcs, cloudSrcs[i], cloudSrcs[i]),
+			TelEDUFrac:    overlapFrac(telSrcs, eduSrcs[i], eduSrcs[i]),
+			CloudEDUFrac:  overlapFrac(cloudSrcs[i], eduSrcs[i], cloudSrcs[i]),
+			CloudScanners: len(cloudSrcs[i]),
+			EDUScanners:   len(eduSrcs[i]),
 		})
 	}
 	return res
 }
 
-// networkSources collects the (optionally malicious-only) source IPs
-// seen on one port across every vantage of a network kind, excluding
-// the §4.3 experiment hosts.
-func (s *Study) networkSources(port uint16, kind netsim.NetworkKind, maliciousOnly bool) map[wire.Addr]struct{} {
-	out := map[wire.Addr]struct{}{}
+// networkSources collects, for each of ports, the (optionally
+// malicious-only) source IPs seen on it across every vantage of a
+// network kind, excluding the §4.3 experiment hosts. One pass over the
+// kind's records fills every port's set; out[i] is ports[i]'s.
+func (s *Study) networkSources(ports []uint16, kind netsim.NetworkKind, maliciousOnly bool) []map[wire.Addr]struct{} {
+	out := make([]map[wire.Addr]struct{}, len(ports))
+	for i := range out {
+		out[i] = map[wire.Addr]struct{}{}
+	}
 	for vi, t := range s.U.Targets() {
 		if t.Kind != kind || strings.HasPrefix(t.Region, "stanford:leak") {
 			continue
 		}
 		for _, ri := range s.byVantage[vi] {
-			if s.blk.Port[ri] != port {
-				continue
-			}
 			if maliciousOnly && !s.mal[ri] {
 				continue
 			}
-			out[s.blk.Src[ri]] = struct{}{}
+			if i := slices.Index(ports, s.blk.Port[ri]); i >= 0 {
+				out[i][s.blk.Src[ri]] = struct{}{}
+			}
 		}
 	}
 	return out
@@ -269,22 +273,26 @@ type Table9Result struct {
 // Table9Ports are the ports of Table 9.
 var Table9Ports = []uint16{23, 2323, 80, 8080, 2222, 22}
 
+// table9EDUPorts are the Table 9 ports whose EDU cells are computable:
+// HTTP, where maliciousness shows in payloads rather than credentials.
+var table9EDUPorts = []uint16{80, 8080}
+
 // Table9 computes per-port malicious-source overlaps with the
 // telescope. Credential-based maliciousness is invisible on plain
 // Honeytrap EDU networks, so those cells are marked not-computable.
 func (s *Study) Table9() Table9Result {
 	var res Table9Result
-	for _, port := range Table9Ports {
-		cloudMal := s.networkSources(port, netsim.KindCloud, true)
+	cloudMal := s.networkSources(Table9Ports, netsim.KindCloud, true)
+	eduMal := s.networkSources(table9EDUPorts, netsim.KindEducation, true)
+	for i, port := range Table9Ports {
 		telSrcs := s.Tel.UniqueSources(port)
 		row := Table9Row{
 			Port:          port,
-			TelCloudFrac:  overlapFrac(telSrcs, cloudMal, cloudMal),
-			CloudAttacker: len(cloudMal),
+			TelCloudFrac:  overlapFrac(telSrcs, cloudMal[i], cloudMal[i]),
+			CloudAttacker: len(cloudMal[i]),
 		}
-		if port == 80 || port == 8080 {
-			eduMal := s.networkSources(port, netsim.KindEducation, true)
-			row.TelEDUFrac = overlapFrac(telSrcs, eduMal, eduMal)
+		if j := slices.Index(table9EDUPorts, port); j >= 0 {
+			row.TelEDUFrac = overlapFrac(telSrcs, eduMal[j], eduMal[j])
 			row.EDUComputable = true
 		}
 		res.Rows = append(res.Rows, row)

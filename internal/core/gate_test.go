@@ -86,3 +86,64 @@ func TestEpochGenerationAllocGate(t *testing.T) {
 		t.Errorf("8-epoch generation %.1f B/record > %d: columns no longer share the worker arena", perRecord, maxBytesPerRecord)
 	}
 }
+
+// renderCost is what rendering every experiment once allocated (heap
+// objects and heap bytes, from runtime.MemStats deltas).
+type renderCost struct{ mallocs, bytes uint64 }
+
+func measureRenderAll(t *testing.T, s *Study) renderCost {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, name := range ExperimentNames() {
+		if _, ok := RenderExperiment(s, name); !ok {
+			t.Fatalf("experiment %s did not render", name)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return renderCost{mallocs: after.Mallocs - before.Mallocs, bytes: after.TotalAlloc - before.TotalAlloc}
+}
+
+// TestRenderAllocGate is the deterministic gate on the cold cost of the
+// render layer: all twelve experiments rendered once on a fresh study
+// of the root package's QuickStudy size, one worker, so every memo
+// (views, summaries, families, telescope series) is built inside the
+// measurement. The budgets catch a vantage view build that goes back
+// to per-record string keys or per-record source-address sets, or
+// that allocates its scratch counters per view.
+//
+// Measured: 71,700 to 73,500 objects and 13.8 to 13.9 MB at
+// GOMAXPROCS 1 to 4, and up to 78,600 objects and 14.3 MB under the
+// race detector, whose sync.Pool drops scratch counters at random.
+// Scratch counters allocated per view cost about 84,500 objects;
+// per-record source sets and string keys about 97,000 objects and
+// 18.8 MB. Not parallel: MemStats deltas are process-wide.
+func TestRenderAllocGate(t *testing.T) {
+	const (
+		maxMallocs = 82_000
+		maxBytes   = 16 << 20
+	)
+	cfg := testConfig(42, 2021)
+	cfg.Scale = 0.35 // the root package's QuickStudy size
+	cfg.Workers = 1
+	run := func() *Study {
+		s, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// Warm the process-wide payload facts on a first study, then
+	// measure a second one whose own memos are all cold.
+	measureRenderAll(t, run())
+	s := run()
+	got := measureRenderAll(t, s)
+	t.Logf("%d records: rendering all %d experiments cold allocated %d objects, %d bytes",
+		s.NumRecords(), len(ExperimentNames()), got.mallocs, got.bytes)
+	if got.mallocs > maxMallocs {
+		t.Errorf("cold render of every experiment allocated %d objects > %d", got.mallocs, maxMallocs)
+	}
+	if got.bytes > maxBytes {
+		t.Errorf("cold render of every experiment allocated %d bytes > %d", got.bytes, maxBytes)
+	}
+}

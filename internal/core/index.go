@@ -5,10 +5,12 @@ import (
 
 	"cloudwatch/internal/fingerprint"
 	"cloudwatch/internal/netsim"
+	"cloudwatch/internal/stats"
 )
 
-// This file holds the study's per-payload derived columns and the
-// column readers the analyses share. The per-record facts (study
+// This file holds the study's per-payload derived columns, the column
+// readers the analyses share, and the vantage view kernel that reads
+// them. The per-record facts (study
 // seconds, interned payload and vantage ids) are produced by the
 // generator's dispatch; the assembler adds the verdict column, the
 // per-vantage record lists, and a snapshot of the per-*payload*
@@ -54,7 +56,7 @@ func (s *Study) recPayKey(ri int) string { return s.payKey[s.blk.Pay[ri]] }
 // recProto returns the LZR fingerprint of record ri's payload.
 func (s *Study) recProto(ri int) fingerprint.Protocol { return s.payProto[s.blk.Pay[ri]] }
 
-// sliceMatch is ProtocolSlice.matches over the record columns: port
+// sliceMatch reports whether record ri belongs to the slice: port
 // slices test the port column, the HTTP-all slice tests the
 // per-payload fingerprint column instead of re-identifying bytes.
 func (s *Study) sliceMatch(slice ProtocolSlice, ri int) bool {
@@ -78,30 +80,61 @@ func (s *Study) sliceMatch(slice ProtocolSlice, ri int) bool {
 	}
 }
 
-// addToView folds record ri into v straight from the columns — the
-// columnar counterpart of View.Add, producing byte-identical views.
-func (s *Study) addToView(v *View, ri int) {
-	if !s.sliceMatch(v.Slice, ri) {
-		return
+// viewCounts is the scratch state of one vantage view build: record
+// counts per ASN and per payload id, keyed by the record columns'
+// dense ids so the scan hashes no strings. Builds run in parallel, so
+// each takes its own counters from viewCountsPool and returns them
+// cleared.
+type viewCounts struct {
+	as  map[int32]int32
+	pay map[netsim.PayloadID]int32
+}
+
+var viewCountsPool = sync.Pool{New: func() any {
+	return &viewCounts{as: map[int32]int32{}, pay: map[netsim.PayloadID]int32{}}
+}}
+
+// buildVantageView computes a vantage view from the record columns,
+// bypassing the cache. AS and payload counts are tallied by id and
+// folded into the string-keyed tables once per distinct id; counts are
+// integers, so adding a total in one step gives the same float64 as
+// adding 1 per record, whichever ids share a key.
+func (s *Study) buildVantageView(id string, slice ProtocolSlice) *View {
+	v := NewView(slice)
+	c := viewCountsPool.Get().(*viewCounts)
+	for _, ri := range s.vantageIdxs(id) {
+		i := int(ri)
+		if !s.sliceMatch(slice, i) {
+			continue
+		}
+		v.Total++
+		c.as[s.blk.ASN[i]]++
+		for _, cr := range s.blk.CredsAt(i) {
+			v.Usernames.Add(cr.Username, 1)
+			v.Passwords.Add(cr.Password, 1)
+		}
+		if pay := s.blk.Pay[i]; pay != 0 {
+			c.pay[pay]++
+		}
+		hour := s.blk.Hour(i)
+		v.Hourly[hour]++
+		if s.mal[i] {
+			v.Malicious++
+			v.MalHourly[hour]++
+		} else {
+			v.Benign++
+		}
 	}
-	v.Total++
-	v.AS.Add(netsim.ASKeyOf(int(s.blk.ASN[ri])), 1)
-	for _, c := range s.blk.CredsAt(ri) {
-		v.Usernames.Add(c.Username, 1)
-		v.Passwords.Add(c.Password, 1)
+	v.AS = make(stats.Freq, len(c.as))
+	for asn, n := range c.as {
+		v.AS.Add(netsim.ASKeyOf(int(asn)), float64(n))
 	}
-	if pay := s.blk.Pay[ri]; pay != 0 {
-		v.Payloads.Add(s.payKey[pay], 1)
+	v.Payloads = make(stats.Freq, len(c.pay))
+	for pay, n := range c.pay {
+		v.Payloads.Add(s.payKey[pay], float64(n))
 	}
-	hour := s.blk.Hour(ri)
-	v.Hourly[hour]++
-	src := s.blk.Src[ri]
-	v.Srcs[src] = struct{}{}
-	if s.mal[ri] {
-		v.Malicious++
-		v.MalHourly[hour]++
-		v.MalSrcs[src] = struct{}{}
-	} else {
-		v.Benign++
-	}
+	clear(c.as)
+	clear(c.pay)
+	viewCountsPool.Put(c)
+	return v
 }

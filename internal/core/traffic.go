@@ -6,7 +6,6 @@ import (
 	"cloudwatch/internal/fingerprint"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/stats"
-	"cloudwatch/internal/wire"
 )
 
 // ProtocolSlice selects the records of one comparison axis (§3.3: the
@@ -46,32 +45,6 @@ func (p ProtocolSlice) String() string {
 	}
 }
 
-// matches reports whether a record belongs to the slice.
-func (p ProtocolSlice) matches(rec netsim.Record) bool {
-	switch p {
-	case SliceSSH22:
-		return rec.Port == 22
-	case SliceSSH2222:
-		return rec.Port == 2222
-	case SliceTelnet23:
-		return rec.Port == 23
-	case SliceTelnet2323:
-		return rec.Port == 2323
-	case SliceHTTP80:
-		return rec.Port == 80
-	case SliceHTTPAll:
-		if len(rec.Payload) > 0 {
-			return fingerprint.Identify(rec.Payload) == fingerprint.HTTP
-		}
-		// Credential-only records are never HTTP.
-		return false
-	case SliceAnyAll:
-		return true
-	default:
-		return false
-	}
-}
-
 // View aggregates the traffic characteristics of one vantage point (or
 // a merged group) for one protocol slice: exactly the axes of §3.3 —
 // who (ASes), what (usernames, passwords, payloads), why (fraction
@@ -86,9 +59,7 @@ type View struct {
 	Malicious float64    // malicious record count
 	Benign    float64    // non-malicious record count
 	Total     float64    // all records in slice
-	Srcs      map[wire.Addr]struct{}
-	MalSrcs   map[wire.Addr]struct{}
-	Hourly    []float64 // length netsim.StudyHours
+	Hourly    []float64  // length netsim.StudyHours
 	MalHourly []float64
 }
 
@@ -100,41 +71,8 @@ func NewView(slice ProtocolSlice) *View {
 		Usernames: stats.Freq{},
 		Passwords: stats.Freq{},
 		Payloads:  stats.Freq{},
-		Srcs:      map[wire.Addr]struct{}{},
-		MalSrcs:   map[wire.Addr]struct{}{},
 		Hourly:    make([]float64, netsim.StudyHours),
 		MalHourly: make([]float64, netsim.StudyHours),
-	}
-}
-
-// Add folds one record into the view (no-op when the record is outside
-// the slice). malicious is the §3.2 verdict of the record.
-func (v *View) Add(rec netsim.Record, malicious bool) {
-	if !v.Slice.matches(rec) {
-		return
-	}
-	v.Total++
-	if as, ok := netsim.LookupAS(rec.ASN); ok {
-		v.AS.Add(as.Key(), 1)
-	} else {
-		v.AS.Add(fmt.Sprintf("AS%d", rec.ASN), 1)
-	}
-	for _, c := range rec.Creds {
-		v.Usernames.Add(c.Username, 1)
-		v.Passwords.Add(c.Password, 1)
-	}
-	if len(rec.Payload) > 0 {
-		v.Payloads.Add(payloadKey(rec.Payload), 1)
-	}
-	hour := netsim.HourOf(rec.T)
-	v.Hourly[hour]++
-	v.Srcs[rec.Src] = struct{}{}
-	if malicious {
-		v.Malicious++
-		v.MalHourly[hour]++
-		v.MalSrcs[rec.Src] = struct{}{}
-	} else {
-		v.Benign++
 	}
 }
 
@@ -209,16 +147,6 @@ func (s *Study) VantageView(id string, slice ProtocolSlice) *View {
 	})
 }
 
-// buildVantageView computes a vantage view from the record columns,
-// bypassing the cache.
-func (s *Study) buildVantageView(id string, slice ProtocolSlice) *View {
-	v := NewView(slice)
-	for _, ri := range s.vantageIdxs(id) {
-		s.addToView(v, int(ri))
-	}
-	return v
-}
-
 // vantageViews builds one view per target, fanning the builds out
 // across cores. The result preserves target order, so downstream
 // group merges are deterministic.
@@ -247,12 +175,6 @@ func GroupView(views []*View) *View {
 	for _, v := range views {
 		mal = append(mal, v.Malicious)
 		tot = append(tot, v.Total)
-		for src := range v.Srcs {
-			out.Srcs[src] = struct{}{}
-		}
-		for src := range v.MalSrcs {
-			out.MalSrcs[src] = struct{}{}
-		}
 		for h := range v.Hourly {
 			out.Hourly[h] += v.Hourly[h]
 			out.MalHourly[h] += v.MalHourly[h]

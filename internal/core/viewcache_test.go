@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"cloudwatch/internal/fingerprint"
 	"cloudwatch/internal/netsim"
 )
 
@@ -15,14 +16,69 @@ var allSlices = []ProtocolSlice{
 	SliceHTTP80, SliceHTTPAll, SliceAnyAll,
 }
 
+// sliceMatches is the row-oriented slice membership test: port slices
+// test the record's port, the HTTP-all slice fingerprints the payload
+// bytes. The oracle for Study.sliceMatch.
+func sliceMatches(p ProtocolSlice, rec netsim.Record) bool {
+	switch p {
+	case SliceSSH22:
+		return rec.Port == 22
+	case SliceSSH2222:
+		return rec.Port == 2222
+	case SliceTelnet23:
+		return rec.Port == 23
+	case SliceTelnet2323:
+		return rec.Port == 2323
+	case SliceHTTP80:
+		return rec.Port == 80
+	case SliceHTTPAll:
+		// Credential-only records are never HTTP.
+		return len(rec.Payload) > 0 && fingerprint.Identify(rec.Payload) == fingerprint.HTTP
+	case SliceAnyAll:
+		return true
+	default:
+		return false
+	}
+}
+
+// addRecord folds one row-oriented record into v, one count per
+// record and key, deriving the AS and payload keys from the record
+// itself. malicious is the §3.2 verdict of the record.
+func addRecord(v *View, rec netsim.Record, malicious bool) {
+	if !sliceMatches(v.Slice, rec) {
+		return
+	}
+	v.Total++
+	if as, ok := netsim.LookupAS(rec.ASN); ok {
+		v.AS.Add(as.Key(), 1)
+	} else {
+		v.AS.Add(fmt.Sprintf("AS%d", rec.ASN), 1)
+	}
+	for _, c := range rec.Creds {
+		v.Usernames.Add(c.Username, 1)
+		v.Passwords.Add(c.Password, 1)
+	}
+	if len(rec.Payload) > 0 {
+		v.Payloads.Add(payloadKey(rec.Payload), 1)
+	}
+	hour := netsim.HourOf(rec.T)
+	v.Hourly[hour]++
+	if malicious {
+		v.Malicious++
+		v.MalHourly[hour]++
+	} else {
+		v.Benign++
+	}
+}
+
 // freshVantageView computes a vantage view the pre-index way — raw
-// record iteration through View.Add and recordMalicious — bypassing
+// record iteration through addRecord and recordMalicious — bypassing
 // both the derived index columns and the view cache. The reference the
 // cached path must match exactly.
 func freshVantageView(s *Study, id string, slice ProtocolSlice) *View {
 	v := NewView(slice)
 	for _, rec := range vantageRecords(s, id) {
-		v.Add(rec, recordMalicious(s, rec))
+		addRecord(v, rec, recordMalicious(s, rec))
 	}
 	return v
 }
@@ -41,17 +97,51 @@ func freshGroupView(s *Study, region string, slice ProtocolSlice, greyNoiseOnly 
 }
 
 // TestVantageViewCachedEqualsFresh is the central cache guarantee:
-// for every vantage and slice, the cached columnar view deep-equals
-// the freshly-computed one.
+// for every vantage and all seven slices, the cached columnar view
+// deep-equals the row-oriented oracle. The full week must put records
+// in every slice, the rarely used SSH/2222 and TEL/2323 included; a
+// study cut to its first ten minutes leaves vantages without records;
+// an unknown vantage id gives an empty view.
 func TestVantageViewCachedEqualsFresh(t *testing.T) {
-	s := runTestStudy(t, 42, 2021)
-	for _, slice := range allSlices {
-		for _, tgt := range s.U.Targets() {
-			got := s.VantageView(tgt.ID, slice)
-			want := freshVantageView(s, tgt.ID, slice)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("vantage %s slice %s: cached view differs from fresh computation\n got %+v\nwant %+v",
-					tgt.ID, slice, got, want)
+	cfg := testConfig(42, 2021)
+	cfg.WindowSec = 600
+	short, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Study{runTestStudy(t, 42, 2021), short} {
+		perSlice := map[ProtocolSlice]float64{}
+		empty := 0
+		for vi, tgt := range s.U.Targets() {
+			if len(s.byVantage[vi]) == 0 {
+				empty++
+			}
+			for _, slice := range allSlices {
+				got := s.VantageView(tgt.ID, slice)
+				want := freshVantageView(s, tgt.ID, slice)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("window %d: vantage %s slice %s: cached view differs from fresh computation\n got %+v\nwant %+v",
+						s.Cfg.WindowSec, tgt.ID, slice, got, want)
+				}
+				perSlice[slice] += got.Total
+			}
+		}
+		for _, slice := range allSlices {
+			if got, want := s.VantageView("no-such-vantage", slice), NewView(slice); !reflect.DeepEqual(got, want) {
+				t.Errorf("window %d: unknown vantage, slice %s: got %+v, want an empty view", s.Cfg.WindowSec, slice, got)
+			}
+		}
+		t.Logf("window %d: %d records, %d of %d vantages without records, per-slice totals %v",
+			s.Cfg.WindowSec, s.NumRecords(), empty, len(s.U.Targets()), perSlice)
+		if s == short {
+			if empty == 0 {
+				t.Error("no vantage without records in the short window; the empty-view case is not covered")
+			}
+			continue
+		}
+		for _, slice := range allSlices {
+			if perSlice[slice] == 0 {
+				t.Errorf("slice %s: no records in any vantage view; the comparison covers nothing", slice)
 			}
 		}
 	}

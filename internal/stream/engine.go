@@ -382,7 +382,20 @@ func (e *Engine) normalize(req SweepRequest) (SweepRequest, error) {
 		return req, fmt.Errorf("stream: nothing ingested yet; call IngestNext first")
 	}
 	req.Prefixes = slices.Compact(slices.Sorted(slices.Values(req.Prefixes)))
+	req.Tables = firstOccurrences(req.Tables)
 	return req, nil
+}
+
+// firstOccurrences returns names without repeats, in first-occurrence
+// order, so a table named twice renders once per grid point.
+func firstOccurrences(names []string) []string {
+	out := make([]string, 0, len(names))
+	for _, n := range names {
+		if !slices.Contains(out, n) {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // Sweep renders every (prefix, K, table) grid point of the request.

@@ -193,6 +193,34 @@ func TestServerSweepTablesParsing(t *testing.T) {
 	}
 }
 
+// TestServerSweepCollapsesDuplicateTables checks that a table named
+// more than once renders once per (prefix, K): repeats are dropped and
+// the remaining tables keep their first-occurrence order.
+func TestServerSweepCollapsesDuplicateTables(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if err := srv.Engine().IngestAll(); err != nil {
+		t.Fatal(err)
+	}
+	var res SweepResult
+	before := stageCounts()[obs.StageTableRender]
+	getJSON(t, ts.URL+"/v1/sweep?tables=table2,table2,table2&kmin=1&kmax=1&prefixes=1", http.StatusOK, &res)
+	if n := stageCounts()[obs.StageTableRender] - before; res.Renders != 1 || len(res.Cells) != 1 || n != 1 {
+		t.Fatalf("tables=table2,table2,table2: %d cells, %d renders reported, %d table_render spans; want 1 each",
+			len(res.Cells), res.Renders, n)
+	}
+
+	before = stageCounts()[obs.StageTableRender]
+	getJSON(t, ts.URL+"/v1/sweep?tables=table5,table2,table5,table2&kmin=1&kmax=2&prefixes=1,2", http.StatusOK, &res)
+	if n := stageCounts()[obs.StageTableRender] - before; res.Renders != 2*2*2 || n != 2*2*2 {
+		t.Fatalf("two tables named twice over 2 prefixes x 2 K: %d renders, %d spans; want 8", res.Renders, n)
+	}
+	for i, cell := range res.Cells {
+		if want := []string{"table5", "table2"}[i%2]; cell.Table != want {
+			t.Fatalf("cell %d is %s, want %s: first-occurrence order lost", i, cell.Table, want)
+		}
+	}
+}
+
 // TestServerSweepBoundsK checks that an absurd kmax is refused up front
 // with the bound named, before any table renders.
 func TestServerSweepBoundsK(t *testing.T) {
