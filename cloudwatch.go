@@ -14,8 +14,8 @@
 //	fmt.Println(study.Table8().Render()) // telescope avoidance
 //
 // The heavy lifting lives in internal packages (stats, wire, pcap,
-// ids, fingerprint, netsim, cloud, scanners, searchengine, greynoise,
-// honeypot, telescope, core); this package is the stable surface a
+// ids, fingerprint, netsim, cloud, scanners, searchengine, honeypot,
+// telescope, core); this package is the stable surface a
 // downstream user imports.
 package cloudwatch
 

@@ -215,7 +215,7 @@ func (s *Study) networkSources(ports []uint16, kind netsim.NetworkKind, maliciou
 			continue
 		}
 		for _, ri := range s.byVantage[vi] {
-			if maliciousOnly && !s.mal[ri] {
+			if maliciousOnly && !s.malicious(int(ri)) {
 				continue
 			}
 			if i := slices.Index(ports, s.blk.Port[ri]); i >= 0 {

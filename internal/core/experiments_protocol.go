@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"cloudwatch/internal/fingerprint"
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/wire"
 )
@@ -33,20 +32,24 @@ type Table11Result struct {
 // Table11 fingerprints the first payloads received on ports 80/8080 by
 // the three /26 Honeytrap networks (Stanford, AWS, Google — §6 uses
 // exactly these) and classifies each scanner as targeting HTTP or an
-// unexpected protocol, then labels actors via GreyNoise.
+// unexpected protocol, then labels scanners the way GreyNoise does:
+// malicious if any of the study's records from the source is
+// malicious (§3.2), else benign if a benign actor's AS owns it, else
+// unknown.
 func (s *Study) Table11() Table11Result {
 	res := Table11Result{Year: s.Cfg.Year, ByProto: map[string]int{}}
 	networks := map[string]bool{"stanford:us-west": true, "aws:ht-us-west": true, "google:ht-us-west": true}
 	hasLabels := s.Cfg.Year != 2022
 
 	type srcInfo struct {
-		asn      int
-		protos   map[fingerprint.Protocol]int
-		anyKnown bool
+		asn       int
+		protos    map[fingerprint.Protocol]int
+		anyKnown  bool
+		exploited bool // some malicious record names the source
 	}
-	benignByAS := map[string]int{}
-
-	for _, port := range []uint16{80, 8080} {
+	ports := []uint16{80, 8080}
+	bySrc := make([]map[wire.Addr]*srcInfo, len(ports))
+	for pi, port := range ports {
 		srcs := map[wire.Addr]*srcInfo{}
 		for vi, t := range s.U.Targets() {
 			if !networks[t.Region] || t.Collector != netsim.CollectHoneytrap {
@@ -68,7 +71,38 @@ func (s *Study) Table11() Table11Result {
 				}
 			}
 		}
+		bySrc[pi] = srcs
+	}
 
+	vetted := map[int]bool{}
+	if hasLabels {
+		// One pass over every record marks the candidates a malicious
+		// record names. A source's records sit in runs, so once one is
+		// malicious the rest of its run is skipped.
+		var last wire.Addr
+		lastOK := false
+		for i := range s.blk.Len() {
+			src := s.blk.Src[i]
+			if (lastOK && src == last) || !s.malicious(i) {
+				continue
+			}
+			last, lastOK = src, true
+			for _, srcs := range bySrc {
+				if info := srcs[src]; info != nil {
+					info.exploited = true
+				}
+			}
+		}
+		for _, actor := range s.Actors {
+			if actor.Benign {
+				vetted[actor.AS.ASN] = true
+			}
+		}
+	}
+
+	benignByAS := map[string]int{}
+	for pi, port := range ports {
+		srcs := bySrc[pi]
 		var expected, unexpected []wire.Addr
 		for ip, info := range srcs {
 			if !info.anyKnown {
@@ -95,8 +129,10 @@ func (s *Study) Table11() Table11Result {
 			b, m := 0, 0
 			for _, ip := range ips {
 				info := srcs[ip]
-				switch s.GN.Classify(ip, info.asn) {
-				case greynoise.Benign:
+				switch {
+				case info.exploited:
+					m++
+				case vetted[info.asn]:
 					b++
 					// "Finders of unexpected services" are tallied on
 					// the ∼HTTP side only.
@@ -105,8 +141,6 @@ func (s *Study) Table11() Table11Result {
 							benignByAS[as.Key()]++
 						}
 					}
-				case greynoise.Malicious:
-					m++
 				}
 			}
 			return float64(b) / float64(len(ips)), float64(m) / float64(len(ips))

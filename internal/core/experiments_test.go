@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"cloudwatch/internal/fingerprint"
+	"cloudwatch/internal/netsim"
+	"cloudwatch/internal/wire"
 )
 
 // sharedStudy caches one scaled study per year across experiment
@@ -332,6 +335,81 @@ func TestTable17DoublesUnexpectedShare(t *testing.T) {
 		if row.HasLabels {
 			t.Error("2022 rows must have no GreyNoise labels (API data absent)")
 		}
+	}
+}
+
+// TestTable11LabelsFollowVerdicts checks Table 11's GreyNoise labels
+// against the labeling rule applied to reconstructed records: a
+// candidate scanner is malicious if any of the study's records from it
+// is malicious, else benign if a benign actor's AS owns it, else
+// unknown. It runs on every snapshot of a chain that flips verdicts,
+// where a flip can move a source in or out of the malicious label.
+func TestTable11LabelsFollowVerdicts(t *testing.T) {
+	es, err := GenerateEpochs(testConfig(3, 2021), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	networks := map[string]bool{"stanford:us-west": true, "aws:ht-us-west": true, "google:ht-us-west": true}
+	inc := es.Incremental()
+	for inc.Prefix() < es.NumEpochs() {
+		s, err := inc.Advance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exploited := map[wire.Addr]bool{}
+		for i := 0; i < s.NumRecords(); i++ {
+			if rec := recordAt(s, i); recordMalicious(s, rec) {
+				exploited[rec.Src] = true
+			}
+		}
+		vetted := map[int]bool{}
+		for _, a := range s.Actors {
+			if a.Benign {
+				vetted[a.AS.ASN] = true
+			}
+		}
+		for _, port := range []uint16{80, 8080} {
+			// Candidates: sources with an identified payload on the
+			// port at the three Honeytrap networks.
+			asn := map[wire.Addr]int{}
+			for i := 0; i < s.NumRecords(); i++ {
+				rec := recordAt(s, i)
+				tgt, _ := s.U.ByID(rec.Vantage)
+				if !networks[tgt.Region] || tgt.Collector != netsim.CollectHoneytrap || rec.Port != port || rec.Pay == 0 {
+					continue
+				}
+				if fingerprint.Identify(rec.Payload) != fingerprint.Unknown {
+					asn[rec.Src] = rec.ASN
+				}
+			}
+			wantMal, wantBen := 0, 0
+			for src, a := range asn {
+				switch {
+				case exploited[src]:
+					wantMal++
+				case vetted[a]:
+					wantBen++
+				}
+			}
+			if wantMal == 0 || wantBen == 0 {
+				t.Fatalf("prefix %d port %d: %d malicious and %d benign candidates, want both", inc.Prefix(), port, wantMal, wantBen)
+			}
+			var gotMal, gotBen, scanners float64
+			for _, row := range s.Table11().Rows {
+				if row.Port == port {
+					gotMal += row.MaliciousFrac * float64(row.Scanners)
+					gotBen += row.BenignFrac * float64(row.Scanners)
+					scanners += float64(row.Scanners)
+				}
+			}
+			if int(scanners) != len(asn) || int(math.Round(gotMal)) != wantMal || int(math.Round(gotBen)) != wantBen {
+				t.Errorf("prefix %d port %d: Table 11 labels %v malicious, %v benign of %v scanners; want %d, %d of %d",
+					inc.Prefix(), port, gotMal, gotBen, scanners, wantMal, wantBen, len(asn))
+			}
+		}
+	}
+	if inc.Repairs() == 0 {
+		t.Fatal("the chain flipped no verdict")
 	}
 }
 

@@ -183,8 +183,8 @@ func checkAgainstReference(t *testing.T, s *Study, ref []refRecord, label string
 			}
 		}
 		// Derived columns, all materialized by Run itself.
-		if s.mal[i] != want.mal {
-			t.Fatalf("%s: record %d mal column = %v, want %v", label, i, s.mal[i], want.mal)
+		if got := s.malicious(i); got != want.mal {
+			t.Fatalf("%s: record %d verdict = %v, want %v", label, i, got, want.mal)
 		}
 		if got, wantH := s.blk.Hour(i), netsim.HourOf(want.rec.T); got != wantH {
 			t.Fatalf("%s: record %d hour = %d, want %d", label, i, got, wantH)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/ids"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/obs"
@@ -18,10 +17,10 @@ import (
 // EpochSet into its chain of prefix snapshots: ingesting epoch p+1
 // *adopts* the prefix-p snapshot, appends the new epoch's per-actor
 // column segments actor-major onto its RecordBlock, union-merges only
-// the new epoch's telescope and GreyNoise shards onto clones of the
-// previous collectors, extends the §3.2 verdict anchor scan only over
-// the new epoch's records, and scatters only the new records into the
-// derived per-vantage lists — O(epoch) per ingest, flat in the prefix
+// the new epoch's telescope shards onto a clone of the previous
+// collector, extends the §3.2 verdict anchor scan only over the new
+// epoch's records, and scatters only the new records into the derived
+// per-vantage lists — O(epoch) per ingest, flat in the prefix
 // length. A batch Run is the one-epoch chain, and EpochSet.Snapshot
 // replays a fresh chain up to the requested prefix, so every *Study
 // the package hands out comes out of Advance.
@@ -44,13 +43,13 @@ import (
 // record order of a one-epoch chain. A new epoch can move an anchor
 // backward (an earlier actor first emits the payload only in a later
 // epoch); if the moved anchor changes the payload's (transport, port)
-// the verdict is re-judged, and in the rare case the verdict actually
-// flips the assembler repairs exactly the invalidated state: the
-// flipped payloads' entries in a private copy of the mal column, and
-// the sources whose exploited status the flips granted or withdrew
-// (repairFlips). The previous snapshot is untouched either way — its
-// window's canonical anchors are the pre-move ones, so its published
-// verdicts stay correct.
+// the verdict is re-judged. The per-payload verdict table malByPay is
+// the only verdict state a snapshot holds — per-record verdicts and
+// GreyNoise labels are derived from it on read (Study.malicious) — so
+// a flipped verdict is one write into the new snapshot's private copy
+// of the table. The previous snapshot is untouched — its window's
+// canonical anchors are the pre-move ones, so its published verdicts
+// stay correct.
 
 // Incremental assembles the chain of prefix snapshots of one EpochSet
 // in O(new epoch) per step. Not safe for concurrent use; the streaming
@@ -140,9 +139,8 @@ func (inc *Incremental) Prefix() int { return inc.prefix }
 // Tip returns the latest snapshot (nil before the first Advance).
 func (inc *Incremental) Tip() *Study { return inc.tip }
 
-// Repairs returns how many Advance calls had to repair
-// already-assembled verdict state because a moved anchor flipped a
-// payload's verdict.
+// Repairs returns how many Advance calls flipped an already-judged
+// payload's verdict because its canonical anchor moved.
 func (inc *Incremental) Repairs() int { return inc.repairs }
 
 // Advance ingests the next epoch and returns its prefix snapshot,
@@ -178,15 +176,9 @@ func (inc *Incremental) Advance() (*Study, error) {
 	adopt := inc.tip == nil && inc.upto == 1 && len(es.sinks) == 1
 
 	if prev := inc.tip; prev == nil {
-		// Chain start: empty collectors and columns preallocated for
+		// Chain start: an empty collector and columns preallocated for
 		// the whole chain, so every later append extends in place.
 		s.Tel = telescope.New(figure1Ports...)
-		s.GN = greynoise.NewService()
-		for _, actor := range es.actors {
-			if actor.Benign {
-				s.GN.VetASN(actor.AS.ASN)
-			}
-		}
 		if adopt {
 			s.blk = es.sinks[0][0].blk
 			s.blk.UseArena(nil)
@@ -194,7 +186,6 @@ func (inc *Incremental) Advance() (*Study, error) {
 			s.blk.Grow(inc.total)
 			s.blk.CredLists = make([][]netsim.Credential, 0, inc.credTotal)
 		}
-		s.mal = make([]bool, 0, inc.total)
 		s.byVantage = make([][]int32, len(inc.vantCount))
 		for vi, n := range inc.vantCount {
 			if n > 0 {
@@ -206,33 +197,27 @@ func (inc *Incremental) Advance() (*Study, error) {
 			s.malByPay[i] = -1
 		}
 	} else {
-		// Adopt the previous snapshot: collector clones take only the
-		// new epoch's merges; column headers are copied and appended
+		// Adopt the previous snapshot: the telescope clone takes only
+		// the new epoch's merges; column headers are copied and appended
 		// past the previous lengths (in place — the backing arrays were
-		// preallocated at chain start, and the re-grow guards below are
+		// preallocated at chain start, and the re-grow guard below is
 		// defensive for adopted columns that arrived exactly sized).
 		s.Tel = prev.Tel.Clone()
-		s.GN = prev.GN.Clone()
 		s.blk = prev.blk
 		if remaining := inc.total - s.blk.Len(); remaining > 0 {
 			s.blk.Grow(remaining)
-		}
-		s.mal = prev.mal
-		if cap(s.mal) < inc.total {
-			s.mal = append(make([]bool, 0, inc.total), s.mal...)
 		}
 		s.byVantage = append([][]int32(nil), prev.byVantage...)
 		s.malByPay = append([]int8(nil), prev.malByPay...)
 	}
 
-	// Union-merge only the new epoch's collector shards and lay its
+	// Union-merge only the new epoch's telescope shards and lay its
 	// credential lists into the arena (each sink's record columns
 	// rebase their arena indexes by its offset).
 	credBase := make(map[*epochSink]int32, len(es.sinks))
 	for _, sinks := range es.sinks {
 		sink := sinks[e]
 		s.Tel.Merge(sink.tel)
-		s.GN.MergeDelta(sink.gn)
 		if !adopt {
 			credBase[sink] = int32(len(s.blk.CredLists))
 			s.blk.CredLists = append(s.blk.CredLists, sink.blk.CredLists...)
@@ -299,67 +284,23 @@ func (inc *Incremental) Advance() (*Study, error) {
 	// a pure function of payload bytes and anchor transport/port).
 	parallelEach(len(newPays), func(k int) {
 		pay := newPays[k]
-		v := int8(0)
-		if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
-			v = 1
-		}
-		s.malByPay[pay] = v
+		s.malByPay[pay] = inc.judge(s, pay)
 	})
 
 	// Re-judge payloads whose canonical anchor moved onto a different
-	// (transport, port). A flipped verdict invalidates the flipped
-	// payloads' entries in the already-assembled mal column and the
-	// exploited status their sources gained or lost — repair exactly
-	// that state instead of re-assembling the prefix.
-	var flipped []netsim.PayloadID
+	// (transport, port); a flip rewrites only this snapshot's copy of
+	// malByPay.
+	flipped := false
 	for _, pay := range moved {
-		v := int8(0)
-		if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
-			v = 1
-		}
-		if v != s.malByPay[pay] {
+		if v := inc.judge(s, pay); v != s.malByPay[pay] {
 			s.malByPay[pay] = v
-			flipped = append(flipped, pay)
+			flipped = true
 		}
 	}
-	if len(flipped) > 0 {
+	if flipped {
 		inc.repairs++
 		mVerdictRepairs.Inc()
-		rsp := obs.StartStage(obs.StageVerdictRepair)
-		inc.repairFlips(s, flipped, base)
-		rsp.End()
 	}
-
-	// Fill the verdict column and exploit set for the appended records,
-	// in parallel chunks with per-chunk GreyNoise deltas (set unions
-	// commute). Credential records are malicious by definition;
-	// payloadless records are benign.
-	s.mal = append(s.mal, make([]bool, n-base)...)
-	added := n - base
-	chunks := (added + verdictChunk - 1) / verdictChunk
-	var gnMu sync.Mutex
-	parallelEach(chunks, func(c int) {
-		lo, hi := base+c*verdictChunk, base+(c+1)*verdictChunk
-		if hi > n {
-			hi = n
-		}
-		d := greynoise.NewDelta()
-		for i := lo; i < hi; i++ {
-			m := s.blk.Cred[i] >= 0
-			if !m {
-				if pay := s.blk.Pay[i]; pay != 0 {
-					m = s.malByPay[pay] == 1
-				}
-			}
-			if m {
-				s.mal[i] = true
-				d.ObserveExploit(s.blk.Src[i])
-			}
-		}
-		gnMu.Lock()
-		s.GN.MergeDelta(d)
-		gnMu.Unlock()
-	})
 
 	// Derived columns: scatter only the new records into the
 	// per-vantage lists and refresh the per-payload fact snapshot.
@@ -373,70 +314,19 @@ func (inc *Incremental) Advance() (*Study, error) {
 	return s, nil
 }
 
-// repairFlips rewrites the already-assembled verdict state of the
-// payloads whose verdict flipped, over records [0, base) — the new
-// epoch's records are filled after the repair with the updated
-// malByPay, so they never need it. Generation marks every record's
-// source seen, which makes the exploit set exactly {src of malicious
-// records}: a source whose record turned malicious is observed
-// exploiting, and a source that lost its last malicious record loses
-// exploited status (a record of the new epoch can hand it straight
-// back through the fill).
-func (inc *Incremental) repairFlips(s *Study, flipped []netsim.PayloadID, base int) {
-	// The shared mal prefix stays correct for the published previous
-	// snapshot, so the repair works on a private full-capacity copy —
-	// later chain appends extend the copy in place.
-	s.mal = append(make([]bool, 0, inc.total), s.mal...)
-
-	// Dense payload-indexed lookup: the repair scan tests every
-	// credential-free record of the prefix, so a map probe per record
-	// would dominate the repair.
-	isFlipped := make([]bool, inc.payCount)
-	for _, pay := range flipped {
-		isFlipped[pay] = true
+// judge returns the §3.2 verdict of a payload at its canonical anchor:
+// 1 if the IDS flags it on the anchor's (transport, port), else 0.
+func (inc *Incremental) judge(s *Study, pay netsim.PayloadID) int8 {
+	if s.IDS.Malicious(inc.anchorTr[pay].String(), inc.anchorPort[pay], netsim.PayloadBytes(pay)) {
+		return 1
 	}
-	lost := map[wire.Addr]bool{}
-	for i := 0; i < base; i++ {
-		if s.blk.Cred[i] >= 0 {
-			continue
-		}
-		pay := s.blk.Pay[i]
-		if pay == 0 || !isFlipped[pay] {
-			continue
-		}
-		if m := s.malByPay[pay] == 1; m != s.mal[i] {
-			s.mal[i] = m
-			if m {
-				s.GN.ObserveExploit(s.blk.Src[i])
-			} else {
-				lost[s.blk.Src[i]] = true
-			}
-		}
-	}
-	// A source that lost a malicious record keeps its exploited status
-	// if any other already-assembled malicious record names it.
-	if len(lost) == 0 {
-		return
-	}
-	for i := 0; i < base && len(lost) > 0; i++ {
-		if s.mal[i] && lost[s.blk.Src[i]] {
-			delete(lost, s.blk.Src[i])
-		}
-	}
-	for src := range lost {
-		s.GN.RemoveExploit(src)
-	}
+	return 0
 }
-
-// verdictChunk is the number of records per parallel verdict-fill
-// chunk: large enough to amortize a chunk's GreyNoise delta, small
-// enough to load-balance.
-const verdictChunk = 65536
 
 // parallelEach runs fn(i) for every i in [0, n) across up to
 // GOMAXPROCS goroutines and waits for completion. fn must be safe to
 // call concurrently for distinct i. Used to fan out verdict judging
-// and filling here and view and family building on the read side.
+// here and view and family building on the read side.
 func parallelEach(n int, fn func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

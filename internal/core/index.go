@@ -10,11 +10,10 @@ import (
 
 // This file holds the study's per-payload derived columns, the column
 // readers the analyses share, and the vantage view kernel that reads
-// them. The per-record facts (study
-// seconds, interned payload and vantage ids) are produced by the
-// generator's dispatch; the assembler adds the verdict column, the
-// per-vantage record lists, and a snapshot of the per-*payload*
-// derivations below — the normalized payload key and the LZR protocol
+// them. The per-record facts (study seconds, interned payload and
+// vantage ids) are produced by the generator's dispatch; the assembler
+// adds the per-payload verdict table, the per-vantage record lists,
+// and a snapshot of the per-*payload* derivations below — the normalized payload key and the LZR protocol
 // fingerprint, computed once per interned payload. Nothing rescans
 // the record columns after assembly.
 
@@ -118,7 +117,7 @@ func (s *Study) buildVantageView(id string, slice ProtocolSlice) *View {
 		}
 		hour := s.blk.Hour(i)
 		v.Hourly[hour]++
-		if s.mal[i] {
+		if s.malicious(i) {
 			v.Malicious++
 			v.MalHourly[hour]++
 		} else {

@@ -4,14 +4,15 @@ import "cloudwatch/internal/obs"
 
 // Package-level observability handles, resolved once. Counting happens
 // at run/epoch granularity — one atomic add per generator pass or
-// repair, never per record — so the generation hot path pays nothing.
+// verdict flip, never per record — so the generation hot path pays
+// nothing.
 var (
 	// mRecordsGenerated counts honeypot records produced by every
 	// generator pass of this process (Run and GenerateEpochs).
 	mRecordsGenerated = obs.Default().Counter("core_records_generated_total",
 		"Honeypot records produced by generation (batch and epoch-partitioned).")
-	// mVerdictRepairs counts Advance calls that had to repair
-	// already-assembled verdict state (repairFlips invocations).
+	// mVerdictRepairs counts Advance calls in which a moved anchor
+	// flipped an already-judged payload's §3.2 verdict.
 	mVerdictRepairs = obs.Default().Counter("core_verdict_repairs_total",
-		"Incremental-assembly verdict repairs (anchor moves that flipped a §3.2 verdict).")
+		"Incremental-assembly Advance calls in which a moved anchor flipped a §3.2 verdict.")
 )

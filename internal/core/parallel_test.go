@@ -74,7 +74,7 @@ func recordMalicious(s *Study, rec netsim.Record) bool {
 
 // assertStudiesIdentical compares everything the analysis pipeline
 // consumes: the full record sequence, the per-vantage indexes, and the
-// telescope/GreyNoise counters.
+// telescope counters.
 func assertStudiesIdentical(t *testing.T, want, got *Study, label string) {
 	t.Helper()
 	if want.NumRecords() != got.NumRecords() {
@@ -131,7 +131,7 @@ func sortedRecords(s *Study) []refRecord {
 	out := make([]refRecord, s.NumRecords())
 	keys := make([]string, len(out))
 	for i := range out {
-		out[i] = refRecord{recordAt(s, i), s.mal[i]}
+		out[i] = refRecord{recordAt(s, i), s.malicious(i)}
 		r := out[i].rec
 		keys[i] = fmt.Sprintf("%s|%d|%d|%d|%d|%d|%q|%v", r.Vantage, r.T.UnixNano(), r.Src, r.ASN, r.Port, r.Transport, r.Payload, r.Creds)
 	}
@@ -147,7 +147,7 @@ func sortedRecords(s *Study) []refRecord {
 	return sorted
 }
 
-// assertCollectorsEqual compares the telescope and GreyNoise state.
+// assertCollectorsEqual compares the telescope state.
 func assertCollectorsEqual(t *testing.T, want, got *Study, label string) {
 	t.Helper()
 	if want.Tel.Packets() != got.Tel.Packets() {
@@ -166,13 +166,6 @@ func assertCollectorsEqual(t *testing.T, want, got *Study, label string) {
 		if gAll[k] != v {
 			t.Errorf("%s: telescope AS %q = %v, want %v", label, k, gAll[k], v)
 		}
-	}
-
-	wSeen, wExp, wVet := want.GN.Stats()
-	gSeen, gExp, gVet := got.GN.Stats()
-	if wSeen != gSeen || wExp != gExp || wVet != gVet {
-		t.Errorf("%s: GreyNoise stats = %d,%d,%d, want %d,%d,%d",
-			label, gSeen, gExp, gVet, wSeen, wExp, wVet)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/telescope"
 )
@@ -22,11 +21,9 @@ import (
 
 // SinkMaterial is the sealed material of one (worker, epoch) sink: the
 // record columns, per-record emission sequences, and the epoch's
-// telescope and GreyNoise aggregation for probes that worker routed
-// into that epoch.
+// telescope aggregation for probes that worker routed into that epoch.
 type SinkMaterial struct {
 	Tel *telescope.Collector
-	GN  *greynoise.Delta
 	Blk *netsim.RecordBlock
 	Seq []int32
 }
@@ -93,7 +90,7 @@ func (es *EpochSet) Material() *StudyMaterial {
 		em.Sinks = make([]SinkMaterial, len(es.sinks))
 		for w, sinks := range es.sinks {
 			sink := sinks[e]
-			em.Sinks[w] = SinkMaterial{Tel: sink.tel, GN: sink.gn, Blk: &sink.blk, Seq: sink.seq}
+			em.Sinks[w] = SinkMaterial{Tel: sink.tel, Blk: &sink.blk, Seq: sink.seq}
 		}
 		em.Lo = make([]int32, len(es.runs))
 		em.Hi = make([]int32, len(es.runs))
@@ -146,13 +143,13 @@ func RestoreEpochSet(cfg Config, m *StudyMaterial) (*EpochSet, error) {
 			return nil, fmt.Errorf("core: epoch %d run bounds cover %d/%d actors, want %d", e, len(em.Lo), len(em.Hi), len(es.actors))
 		}
 		for w, sm := range em.Sinks {
-			if sm.Tel == nil || sm.GN == nil || sm.Blk == nil {
+			if sm.Tel == nil || sm.Blk == nil {
 				return nil, fmt.Errorf("core: epoch %d worker %d sink is incomplete", e, w)
 			}
 			if len(sm.Seq) != sm.Blk.Len() {
 				return nil, fmt.Errorf("core: epoch %d worker %d has %d seqs for %d records", e, w, len(sm.Seq), sm.Blk.Len())
 			}
-			es.sinks[w][e] = &epochSink{tel: sm.Tel, gn: sm.GN, blk: *sm.Blk, seq: sm.Seq}
+			es.sinks[w][e] = &epochSink{tel: sm.Tel, blk: *sm.Blk, seq: sm.Seq}
 		}
 	}
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cloudwatch/internal/cloud"
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/honeypot"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/obs"
@@ -21,8 +20,8 @@ import (
 // This file is the study's one generator: the week is partitioned
 // into time epochs, the actor population runs once across the
 // pipeline workers, and every probe lands in the per-epoch sink its
-// timestamp belongs to — per-epoch record columns, telescope
-// collectors, and GreyNoise deltas. Incremental (incremental.go) is
+// timestamp belongs to — per-epoch record columns and telescope
+// collectors. Incremental (incremental.go) is
 // the one assembler that turns the first p epochs into a *Study. A
 // batch Run is the one-epoch case of the same pair (see Run), and a
 // non-tip prefix snapshot is a replay of the chain (Snapshot).
@@ -44,14 +43,13 @@ func CheckEpochs(n int) error {
 }
 
 // epochSink is one (worker, epoch) cell of the partitioned pipeline:
-// the records, telescope aggregation, and GreyNoise delta of the
-// probes one worker routed into one epoch. seq is the per-actor
+// the records and telescope aggregation of the probes one worker
+// routed into one epoch. seq is the per-actor
 // emission index of each record — the key the assembler uses to keep
 // the §3.2 verdict anchor at an actor's earliest emission across
 // epochs.
 type epochSink struct {
 	tel *telescope.Collector
-	gn  *greynoise.Delta
 	blk netsim.RecordBlock
 	seq []int32
 }
@@ -107,19 +105,7 @@ type streamShard struct {
 	sinks  []*epochSink
 	seq    int32 // per-actor emission counter, reset at actor start
 
-	// Per-source GreyNoise dedup, hoisted out of the sinks: actors emit
-	// long same-source probe runs, but with timestamps routing probes
-	// round-robin across epoch sinks the per-Delta last-source
-	// short-circuit almost never fires, degenerating gn.Observe into a
-	// map insert per probe. The shard instead tracks which epoch sinks
-	// have already seen the current source run (one bit per epoch) and
-	// skips the Delta call entirely. Observe is a set insert, so
-	// skipping duplicates is observation-equivalent.
-	gnSrc  wire.Addr
-	gnOK   bool
-	gnMask uint64
-
-	// Telescope run dedup, hoisted the same way: within one
+	// Telescope run dedup, hoisted out of the sinks: within one
 	// (port, src) emission run the unique-source set insert is
 	// idempotent per epoch collector, and within one (port, src, dst)
 	// run the watch-log pair append is skip-safe per epoch log (a
@@ -134,20 +120,6 @@ type streamShard struct {
 	telOK    bool
 	srcMask  uint64
 	pairMask uint64
-}
-
-// observeGN records src as seen in the GreyNoise delta of the epoch
-// whose mask bit is bit, short-circuiting repeats within one source
-// run.
-func (sh *streamShard) observeGN(sink *epochSink, bit uint64, src wire.Addr) {
-	if !sh.gnOK || src != sh.gnSrc {
-		sh.gnSrc, sh.gnOK = src, true
-		sh.gnMask = 0
-	}
-	if sh.gnMask&bit == 0 {
-		sh.gnMask |= bit
-		sink.gn.Observe(src)
-	}
 }
 
 // dispatch routes one probe: probes past the truncation window vanish
@@ -179,7 +151,6 @@ func (sh *streamShard) dispatch(p *netsim.Probe) {
 		sink.tel.ObserveRun(p, sh.srcMask&bit == 0, sh.pairMask&bit == 0)
 		sh.srcMask |= bit
 		sh.pairMask |= bit
-		sh.observeGN(sink, bit, p.Src)
 		return
 	}
 	if t == nil {
@@ -189,7 +160,6 @@ func (sh *streamShard) dispatch(p *netsim.Probe) {
 	if !ok {
 		return
 	}
-	sh.observeGN(sink, bit, p.Src)
 	sink.blk.AppendAt(vi, sec, nsec, p, pay, creds)
 	sink.seq = append(sink.seq, sh.seq)
 	sh.seq++
@@ -339,7 +309,6 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 		for e := range sinks {
 			sink := &epochSink{
 				tel: telescope.New(figure1Ports...),
-				gn:  greynoise.NewDelta(),
 				seq: make([]int32, 0, perSink),
 			}
 			sink.blk.UseArena(arena)

@@ -2,105 +2,11 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"cloudwatch/internal/netsim"
 )
-
-// equivalenceMatrix returns the (seed, year) cells the prefix-
-// equivalence suites sweep; -short keeps one cell.
-func equivalenceMatrix() (seeds []int64, years []int) {
-	if testing.Short() {
-		return []int64{42}, []int{2021}
-	}
-	return []int64{42, 7}, []int{2020, 2021, 2022}
-}
-
-var truncatedRenders = struct {
-	sync.Mutex
-	m map[string][]string
-}{m: map[string][]string{}}
-
-// truncatedRunRenders returns, indexed by prefix 1..epochs, the
-// rendered analyses of a from-scratch Run truncated to each epoch
-// bound (the last prefix is the full week). Each Run is checked record
-// by record against the reference generator in
-// TestGenerationEquivalence. The references are built once per cell at
-// the default worker count and shared by the suites that compare
-// against them, so every comparison also crosses worker counts.
-func truncatedRunRenders(t *testing.T, seed int64, year, epochs int) []string {
-	t.Helper()
-	key := fmt.Sprintf("%d/%d/%d", seed, year, epochs)
-	truncatedRenders.Lock()
-	defer truncatedRenders.Unlock()
-	if wants, ok := truncatedRenders.m[key]; ok {
-		return wants
-	}
-	cfg := testConfig(seed, year)
-	eb := netsim.NewEpochs(epochs)
-	wants := make([]string, epochs+1)
-	for p := 1; p <= epochs; p++ {
-		bcfg := cfg
-		if p < epochs {
-			bcfg.WindowSec = eb.Bound(p)
-		}
-		batch, err := Run(bcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[p] = renderAllAnalyses(batch)
-	}
-	for p := 2; p <= epochs; p++ {
-		if wants[p] == wants[p-1] {
-			t.Fatalf("prefixes %d and %d render identically — the windows are not truncating", p-1, p)
-		}
-	}
-	truncatedRenders.m[key] = wants
-	return wants
-}
-
-// TestStreamingSnapshotsMatchTruncatedRuns is the streaming
-// equivalence matrix: for seeds 42/7 × years 2020–2022 × generation
-// Workers 1/4/GOMAXPROCS, every epoch-prefix snapshot EpochSet.Snapshot
-// serves (the replay path for evicted prefixes) renders every table,
-// figure, and ablation byte-identically to a Run truncated to the same
-// window, and the final snapshot byte-identically to the full-week
-// run. The assembly chain the streaming engine ingests through is
-// checked against the same references in
-// TestIncrementalMatchesFromScratch.
-func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
-	const epochs = 4
-	workersList := []int{1, 4, runtime.GOMAXPROCS(0)}
-	seeds, years := equivalenceMatrix()
-
-	for _, seed := range seeds {
-		for _, year := range years {
-			t.Run(fmt.Sprintf("seed%d-year%d", seed, year), func(t *testing.T) {
-				wants := truncatedRunRenders(t, seed, year, epochs)
-				for _, workers := range workersList {
-					cfg := testConfig(seed, year)
-					cfg.Workers = workers
-					es, err := GenerateEpochs(cfg, epochs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for p := 1; p <= epochs; p++ {
-						snap, err := es.Snapshot(p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := renderAllAnalyses(snap); got != wants[p] {
-							t.Errorf("workers=%d prefix=%d: replayed snapshot differs from truncated run", workers, p)
-						}
-					}
-				}
-			})
-		}
-	}
-}
 
 // TestFinalSnapshotIsTheFullStudy deep-compares the final prefix
 // snapshot against the full-week run — records with their verdicts,

@@ -10,7 +10,6 @@ import (
 
 	"cloudwatch/internal/cloud"
 	"cloudwatch/internal/fingerprint"
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/ids"
 	"cloudwatch/internal/memo"
 	"cloudwatch/internal/netsim"
@@ -83,29 +82,28 @@ var figure1Ports = []uint16{22, 445, 80, 17128}
 // Study is the outcome of one simulated collection week: everything
 // the analysis pipeline consumes.
 //
-// Records are stored columnar (netsim.RecordBlock) with every derived
-// per-record fact — the §3.2 malicious verdict, interned payload ids,
-// study seconds — materialized by the assembler itself, so the derived
-// index is complete the moment Run returns; there is no post-hoc
-// record scan. The analyses read the columns directly.
+// Records are stored columnar (netsim.RecordBlock) with interned
+// payload ids and study seconds materialized by the assembler itself,
+// and the §3.2 verdict held once per payload (malByPay), so the
+// derived index is complete the moment Run returns; there is no
+// post-hoc record scan. The analyses read the columns directly.
 type Study struct {
 	Cfg    Config
 	U      *netsim.Universe
 	Tel    *telescope.Collector
-	GN     *greynoise.Service
 	Censys *searchengine.Engine
 	Shodan *searchengine.Engine
 	Actors []*scanners.Actor
 	IDS    *ids.Engine
 
-	// The columnar record store plus its derived columns: mal is the
-	// per-record §3.2 verdict, byVantage the per-vantage record lists
-	// (indexed by vantage id — Universe target position), malByPay the
-	// frozen per-payload verdict memo, and payKey/payProto the
-	// per-payload normalized key and LZR fingerprint (indexed by
-	// netsim.PayloadID). All are read-only once assembled.
+	// The columnar record store plus its derived columns: byVantage
+	// the per-vantage record lists (indexed by vantage id — Universe
+	// target position), malByPay the per-payload §3.2 verdict table
+	// every per-record verdict derives from (see malicious), and
+	// payKey/payProto the per-payload normalized key and LZR
+	// fingerprint (indexed by netsim.PayloadID). All are read-only once
+	// assembled.
 	blk       netsim.RecordBlock
-	mal       []bool
 	byVantage [][]int32
 	malByPay  []int8 // -1 unknown, 0 benign, 1 malicious
 	payKey    []string
@@ -132,13 +130,12 @@ type Study struct {
 }
 
 // Run executes a full study: build the deployment, crawl the search
-// engines, generate the actor population's traffic, route it through
-// the collectors, and feed the GreyNoise classifier. It is the
-// one-epoch case of the streaming pipeline — one generator pass into a
-// single epoch (truncated at cfg.WindowSec), assembled by one
-// Incremental.Advance — so its record order is the canonical
-// actor-major order, and the study is byte-identical for any
-// cfg.Workers (GOMAXPROCS by default).
+// engines, generate the actor population's traffic, and route it
+// through the collectors. It is the one-epoch case of the streaming
+// pipeline — one generator pass into a single epoch (truncated at
+// cfg.WindowSec), assembled by one Incremental.Advance — so its record
+// order is the canonical actor-major order, and the study is
+// byte-identical for any cfg.Workers (GOMAXPROCS by default).
 func Run(cfg Config) (*Study, error) {
 	es, err := generate(cfg, 1)
 	if err != nil {
@@ -149,6 +146,13 @@ func Run(cfg Config) (*Study, error) {
 
 // NumRecords returns the number of honeypot records collected.
 func (s *Study) NumRecords() int { return s.blk.Len() }
+
+// malicious is record ri's §3.2 verdict: credential records are
+// malicious by definition, payloadless records benign (malByPay[0] is
+// never judged), and everything else takes its payload's verdict.
+func (s *Study) malicious(ri int) bool {
+	return s.blk.Cred[ri] >= 0 || s.malByPay[s.blk.Pay[ri]] == 1
+}
 
 // vantageIdxs returns the record indexes of one vantage point, in
 // arrival order.

@@ -186,7 +186,7 @@ func TestDerivedColumnsMatchDirect(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	for i := 0; i < s.NumRecords(); i++ {
 		rec := recordAt(s, i)
-		if got, want := s.mal[i], recordMalicious(s, rec); got != want {
+		if got, want := s.malicious(i), recordMalicious(s, rec); got != want {
 			t.Fatalf("record %d: mal column = %v, want %v", i, got, want)
 		}
 		if got, want := s.blk.Hour(i), netsim.HourOf(rec.T); got != want {

@@ -132,9 +132,6 @@ func NewEngineFromText(text string) (*Engine, error) {
 // Len returns the number of compiled rules.
 func (e *Engine) Len() int { return len(e.rules) }
 
-// Rules returns the compiled rules in order.
-func (e *Engine) Rules() []Rule { return e.rules }
-
 // Match evaluates every rule against a payload destined to (proto,
 // port) and returns the alerts in rule order. Only rules in the
 // destination's prefilter bucket are evaluated; rules whose header

@@ -142,7 +142,7 @@ func TestDefaultRulesetCompiles(t *testing.T) {
 		t.Errorf("default ruleset has %d rules, want >= 40", e.Len())
 	}
 	classtypes := map[Classtype]bool{}
-	for _, r := range e.Rules() {
+	for _, r := range e.rules {
 		classtypes[r.Classtype] = true
 		if r.Msg == "" {
 			t.Errorf("rule sid %d has no msg", r.SID)
@@ -195,7 +195,7 @@ func TestEngineDeterministicProperty(t *testing.T) {
 // reproduce exactly (same alerts, same order).
 func matchBruteForce(e *Engine, proto string, port uint16, payload []byte) []Alert {
 	var alerts []Alert
-	for _, r := range e.Rules() {
+	for _, r := range e.rules {
 		if r.Proto != "any" && r.Proto != "ip" && r.Proto != proto {
 			continue
 		}

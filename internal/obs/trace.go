@@ -9,10 +9,10 @@ import (
 )
 
 // Stage tracing: cheap span timers around the hot pipeline stages
-// (epoch generation, incremental assembly, verdict repair, store
-// persist, table render). A span costs one time.Now at start and, at
-// End, one histogram observation plus one slot write in a bounded ring
-// of recent spans — nothing allocates after the ring fills. Spans are
+// (epoch generation, incremental assembly, store persist, table
+// render). A span costs one time.Now at start and, at End, one
+// histogram observation plus one slot write in a bounded ring of
+// recent spans — nothing allocates after the ring fills. Spans are
 // per-stage-invocation (per epoch, per render), never per record, so
 // tracing is always on. Counter gates in internal/core and
 // internal/stream pin the span count per stage and zero allocations
@@ -23,7 +23,6 @@ import (
 const (
 	StageEpochGeneration     = "epoch_generation"     // core generator pass (GenerateEpochs, Run)
 	StageIncrementalAssembly = "incremental_assembly" // core.Incremental.Advance: one epoch folded in (also Run, Snapshot replays)
-	StageVerdictRepair       = "verdict_repair"       // core.Incremental.repairFlips: in-place verdict repair
 	StageStorePersist        = "store_persist"        // store segment write / manifest advance
 	StageTableRender         = "table_render"         // core.RenderExperiment(AtK): one table or figure
 )

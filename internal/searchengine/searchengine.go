@@ -99,11 +99,6 @@ func (e *Engine) Indexed(ip wire.Addr, port uint16) bool {
 	return ok
 }
 
-// IndexedHost reports whether any service of ip is indexed.
-func (e *Engine) IndexedHost(ip wire.Addr) bool {
-	return len(e.index[ip]) > 0
-}
-
 // Historical reports whether ip ever appeared in the engine's index,
 // including pre-study history — the information source of actors that
 // do not refresh their view ("the nmap scanners source only up-to-date
@@ -121,16 +116,6 @@ func (e *Engine) Search(port uint16) []wire.Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// IndexedAt returns when (ip, port) first entered the index.
-func (e *Engine) IndexedAt(ip wire.Addr, port uint16) (time.Time, bool) {
-	m, ok := e.index[ip]
-	if !ok {
-		return time.Time{}, false
-	}
-	ts, ok := m[port]
-	return ts, ok
 }
 
 // Size returns the number of indexed (ip, port) services.

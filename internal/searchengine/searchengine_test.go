@@ -27,6 +27,9 @@ func leakUniverse(t *testing.T) *netsim.Universe {
 	return u
 }
 
+// indexedHost reports whether any service of ip is indexed.
+func indexedHost(e *Engine, ip wire.Addr) bool { return len(e.index[ip]) > 0 }
+
 func TestCrawlHonorsControls(t *testing.T) {
 	u := leakUniverse(t)
 	censys := New("censys")
@@ -43,7 +46,7 @@ func TestCrawlHonorsControls(t *testing.T) {
 	if !censys.Indexed(fleet, 22) || !censys.Indexed(fleet, 80) {
 		t.Error("fleet target should be fully indexed")
 	}
-	if censys.IndexedHost(control) || shodan.IndexedHost(control) {
+	if indexedHost(censys, control) || indexedHost(shodan, control) {
 		t.Error("control group must not be indexed")
 	}
 	if !censys.Indexed(leaked, 80) {
@@ -52,10 +55,10 @@ func TestCrawlHonorsControls(t *testing.T) {
 	if censys.Indexed(leaked, 22) {
 		t.Error("censys must not index the non-leaked port")
 	}
-	if shodan.IndexedHost(leaked) {
+	if indexedHost(shodan, leaked) {
 		t.Error("shodan must not index a censys-leaked host")
 	}
-	if censys.IndexedHost(prev) {
+	if indexedHost(censys, prev) {
 		t.Error("previously-leaked host is blocked from live indexing")
 	}
 	if !censys.Historical(prev) {
@@ -94,20 +97,5 @@ func TestSearchSortedAndSized(t *testing.T) {
 	}
 	if e.Size() != 3 { // fleet:22, fleet:80, leaked:80
 		t.Errorf("Size = %d, want 3", e.Size())
-	}
-}
-
-func TestIndexedAtFirstWins(t *testing.T) {
-	u := leakUniverse(t)
-	e := New("censys")
-	t0 := time.Date(2021, 6, 30, 0, 0, 0, 0, time.UTC)
-	e.Crawl(u, t0)
-	e.Crawl(u, t0.Add(24*time.Hour)) // re-crawl must not move timestamps
-	ts, ok := e.IndexedAt(wire.MustParseAddr("10.0.0.1"), 80)
-	if !ok || !ts.Equal(t0) {
-		t.Errorf("IndexedAt = %v, %v; want %v", ts, ok, t0)
-	}
-	if _, ok := e.IndexedAt(wire.MustParseAddr("10.0.0.2"), 80); ok {
-		t.Error("control group should have no index timestamp")
 	}
 }

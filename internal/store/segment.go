@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 
 	"cloudwatch/internal/core"
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/telescope"
 	"cloudwatch/internal/wire"
@@ -29,11 +28,13 @@ import (
 // regenerates deterministically and rewrites the segment.
 const (
 	segMagic = "CWEPOCHS"
-	// segVersion 2 added the scenario id to the layout frame. A v1
-	// segment decodes as "nothing recovered": the reader regenerates
+	// segVersion 2 added the scenario id to the layout frame; 3 dropped
+	// the per-sink GreyNoise observation sets from the epoch frames
+	// (labels derive from the records' verdicts). An older segment
+	// decodes as "nothing recovered": the reader regenerates
 	// deterministically and rewrites the segment in the current format,
 	// the same degradation path as a torn tail.
-	segVersion = 2
+	segVersion = 3
 
 	frameConfig = 1 // normalized study config JSON
 	frameDict   = 2 // payload interner dictionary
@@ -120,7 +121,6 @@ func encodeSegment(configJSON []byte, m *core.StudyMaterial) []byte {
 		for w := range em.Sinks {
 			sm := &em.Sinks[w]
 			p = sm.Tel.AppendBinary(p)
-			p = sm.GN.AppendBinary(p)
 			p = sm.Blk.AppendBinary(p, renumber)
 			p = wire.AppendI32s(p, sm.Seq)
 		}
@@ -211,10 +211,6 @@ func decodeEpoch(payload []byte, workers, dictLen int) (*core.EpochMaterial, err
 		if err != nil {
 			return nil, fmt.Errorf("worker %d telescope: %w", w, err)
 		}
-		gn, err := greynoise.DecodeDelta(r)
-		if err != nil {
-			return nil, fmt.Errorf("worker %d greynoise: %w", w, err)
-		}
 		blk, err := netsim.DecodeRecordBlock(r, dictLen)
 		if err != nil {
 			return nil, fmt.Errorf("worker %d records: %w", w, err)
@@ -223,7 +219,7 @@ func decodeEpoch(payload []byte, workers, dictLen int) (*core.EpochMaterial, err
 		if r.Err() != nil {
 			return nil, fmt.Errorf("worker %d seqs: %w", w, r.Err())
 		}
-		em.Sinks[w] = core.SinkMaterial{Tel: tel, GN: gn, Blk: &blk, Seq: seq}
+		em.Sinks[w] = core.SinkMaterial{Tel: tel, Blk: &blk, Seq: seq}
 	}
 	em.Lo = r.I32s()
 	em.Hi = r.I32s()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"cloudwatch/internal/core"
-	"cloudwatch/internal/greynoise"
 	"cloudwatch/internal/netsim"
 	"cloudwatch/internal/telescope"
 	"cloudwatch/internal/wire"
@@ -45,7 +44,7 @@ func FuzzDecodeSegment(f *testing.F) {
 		Workers:     1,
 		ActorWorker: make([]int32, len(m.ActorWorker)),
 		Epochs: []core.EpochMaterial{{
-			Sinks: []core.SinkMaterial{{Tel: telescope.New(), GN: greynoise.NewDelta(), Blk: &netsim.RecordBlock{}}},
+			Sinks: []core.SinkMaterial{{Tel: telescope.New(), Blk: &netsim.RecordBlock{}}},
 			Lo:    make([]int32, len(m.ActorWorker)),
 			Hi:    make([]int32, len(m.ActorWorker)),
 		}},

@@ -62,14 +62,16 @@ func TestIngestCounterGate(t *testing.T) {
 		// holds only the study's own payloads, so the length is a
 		// function of the configuration alone.
 		segmentFrames = 3 + epochs
-		segmentBytes  = 10485020
+		segmentBytes  = 10436924
 		// The manifest {"version":1,"ingested":N}\n for one-digit N.
 		manifestBytes = 27
 		// Heap budget of the eight durable ingests once the process is
-		// warm: about 3,100 objects and 9.7 MB measured, with room for
-		// the race detector's extra allocations.
+		// warm: about 2,700 objects and 8.8 MB measured (2,650-2,790
+		// objects at GOMAXPROCS 1-8, 8.78 MB under the race detector).
+		// The object count grows with GOMAXPROCS (verdict judging fans
+		// out per Advance), so its budget keeps wide headroom.
 		maxIngestMallocs = 4000
-		maxIngestBytes   = 12 << 20
+		maxIngestBytes   = 9 << 20
 	)
 	// The root package's QuickStudy size, with one worker so the
 	// heap cost is a function of the configuration alone.
@@ -83,8 +85,8 @@ func TestIngestCounterGate(t *testing.T) {
 	}
 
 	// In-memory engine: one generation span, then one assembly span
-	// (plus one per verdict repair) per ingest. It also warms the
-	// process-wide memos for the durable run measured below.
+	// per ingest. It also warms the process-wide memos for the durable
+	// run measured below.
 	before := stageCounts()
 	eng, err := New(cfg)
 	if err != nil {
@@ -97,7 +99,6 @@ func TestIngestCounterGate(t *testing.T) {
 	}
 	checkSpans(t, "in-memory week", before, map[string]uint64{
 		obs.StageIncrementalAssembly: epochs,
-		obs.StageVerdictRepair:       uint64(eng.inc.Repairs()),
 	})
 
 	// Durable engine on a RAM store: Open adds the segment write's
@@ -140,7 +141,6 @@ func TestIngestCounterGate(t *testing.T) {
 	checkSpans(t, "durable week", before, map[string]uint64{
 		obs.StageIncrementalAssembly: epochs,
 		obs.StageStorePersist:        epochs,
-		obs.StageVerdictRepair:       uint64(deng.inc.Repairs()),
 	})
 	frames2, fsyncs2, bytes2 := storeCounters()
 	if got := frames2 - frames1; got != 0 {

@@ -80,10 +80,6 @@ func (a Addr) HasOctet(v byte) bool {
 	return o[0] == v || o[1] == v || o[2] == v || o[3] == v
 }
 
-// IsBroadcastStyle reports whether the address ends in .255, the
-// "likely reserved for broadcasting purposes" structure of §4.2.
-func (a Addr) IsBroadcastStyle() bool { return byte(a) == 255 }
-
 // IsSlash16Start reports whether the address is the first address of
 // its /16 (x.B.0.0), the structure Mirai/PonyNet prefer as a first
 // scanning target per §4.2.

@@ -69,21 +69,18 @@ func TestOctetPanics(t *testing.T) {
 
 func TestAddressStructurePredicates(t *testing.T) {
 	cases := []struct {
-		s                      string
-		broadcast, s16, has255 bool
+		s           string
+		s16, has255 bool
 	}{
-		{"10.0.0.255", true, false, true},
-		{"10.0.255.1", false, false, true},
-		{"10.255.0.0", false, true, true},
-		{"10.7.0.0", false, true, false},
-		{"10.7.1.0", false, false, false},
-		{"255.0.0.1", false, false, true},
+		{"10.0.0.255", false, true},
+		{"10.0.255.1", false, true},
+		{"10.255.0.0", true, true},
+		{"10.7.0.0", true, false},
+		{"10.7.1.0", false, false},
+		{"255.0.0.1", false, true},
 	}
 	for _, c := range cases {
 		a := MustParseAddr(c.s)
-		if got := a.IsBroadcastStyle(); got != c.broadcast {
-			t.Errorf("%s IsBroadcastStyle = %v, want %v", c.s, got, c.broadcast)
-		}
 		if got := a.IsSlash16Start(); got != c.s16 {
 			t.Errorf("%s IsSlash16Start = %v, want %v", c.s, got, c.s16)
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // Binary append/read helpers shared by the durable-store codecs
-// (internal/netsim, internal/telescope, internal/greynoise serialize
-// their sealed epoch state through these; internal/store frames the
+// (internal/netsim and internal/telescope serialize their sealed
+// epoch state through these; internal/store frames the
 // result). Everything is little-endian and length-prefixed; the append
 // side grows a caller-owned []byte, the read side is a cursor with a
 // sticky error so decoders can chain reads and check once.

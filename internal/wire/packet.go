@@ -80,10 +80,3 @@ type Packet struct {
 	Flags   TCPFlags // meaningful only for Proto == TCP
 	Payload []byte
 }
-
-// IsSYN reports whether p is an initial TCP SYN (connection attempt),
-// the only thing a telescope that "does not complete the TCP layer 4
-// handshake" observes.
-func (p Packet) IsSYN() bool {
-	return p.Proto == TCP && p.Flags.Has(FlagSYN) && !p.Flags.Has(FlagACK)
-}

@@ -23,18 +23,3 @@ func TestTCPFlags(t *testing.T) {
 		t.Errorf("zero flags = %q", TCPFlags(0).String())
 	}
 }
-
-func TestIsSYN(t *testing.T) {
-	syn := Packet{Proto: TCP, Flags: FlagSYN}
-	if !syn.IsSYN() {
-		t.Error("bare SYN should be IsSYN")
-	}
-	synAck := Packet{Proto: TCP, Flags: FlagSYN | FlagACK}
-	if synAck.IsSYN() {
-		t.Error("SYN|ACK should not be IsSYN")
-	}
-	udp := Packet{Proto: UDP, Flags: FlagSYN}
-	if udp.IsSYN() {
-		t.Error("UDP packet should not be IsSYN")
-	}
-}
