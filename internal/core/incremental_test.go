@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"cloudwatch/internal/netsim"
@@ -34,14 +35,26 @@ func equivalenceMatrix() []equivalenceCell {
 	return append(cells, equivalenceCell{seed: 3, year: 2021, flips: true})
 }
 
+var truncatedRenders = struct {
+	sync.Mutex
+	m map[string][]string
+}{m: map[string][]string{}}
+
 // truncatedRunRenders returns, indexed by prefix 1..epochs, the
 // rendered analyses of a from-scratch Run truncated to each epoch
 // bound (the last prefix is the full week). Each Run is checked record
 // by record against the reference generator in
-// TestGenerationEquivalence. The references are built at the default
-// worker count, so every comparison also crosses worker counts.
+// TestGenerationEquivalence. The references are built once per cell at
+// the default worker count and shared by the suites that compare
+// against them, so every comparison also crosses worker counts.
 func truncatedRunRenders(t *testing.T, seed int64, year, epochs int) []string {
 	t.Helper()
+	key := fmt.Sprintf("%d/%d/%d", seed, year, epochs)
+	truncatedRenders.Lock()
+	defer truncatedRenders.Unlock()
+	if wants, ok := truncatedRenders.m[key]; ok {
+		return wants
+	}
 	cfg := testConfig(seed, year)
 	eb := netsim.NewEpochs(epochs)
 	wants := make([]string, epochs+1)
@@ -61,20 +74,21 @@ func truncatedRunRenders(t *testing.T, seed int64, year, epochs int) []string {
 			t.Fatalf("prefixes %d and %d render identically — the windows are not truncating", p-1, p)
 		}
 	}
+	truncatedRenders.m[key] = wants
 	return wants
 }
 
-// TestIncrementalMatchesFromScratch is the prefix-equivalence matrix:
-// for every cell × generation Workers 1/4/GOMAXPROCS, one epoch set
-// serves both snapshot paths, and each renders every table, figure,
-// and ablation byte-identically to a from-scratch Run truncated to the
-// same prefix window (the final prefix to the full-week run):
-//   - the incremental chain the streaming engine ingests through. Every
-//     chain snapshot is rendered only after the whole chain is
-//     assembled, so the comparison also proves later appends (and
-//     verdict flips) never disturb an earlier published snapshot (the
-//     chain shares column backing arrays);
-//   - EpochSet.Snapshot, the replay path for evicted prefixes.
+// TestIncrementalMatchesFromScratch is the incremental-assembly
+// equivalence matrix: for every cell × generation Workers
+// 1/4/GOMAXPROCS, every snapshot of the chain the streaming engine
+// ingests through renders every table, figure, and ablation
+// byte-identically to a from-scratch Run truncated to the same prefix
+// window (the final prefix to the full-week run). Every chain snapshot
+// is rendered only after the whole chain is assembled, so the
+// comparison also proves later appends (and verdict flips) never
+// disturb an earlier published snapshot (the chain shares column
+// backing arrays). The replay path for evicted prefixes is checked
+// against the same references in TestStreamingSnapshotsMatchTruncatedRuns.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	const epochs = 4
 	workersList := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -115,13 +129,6 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				for p := 1; p <= epochs; p++ {
 					if got := renderAllAnalyses(chain[p-1]); got != wants[p] {
 						t.Errorf("workers=%d prefix=%d: incremental analyses differ from truncated from-scratch run", workers, p)
-					}
-					snap, err := es.Snapshot(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := renderAllAnalyses(snap); got != wants[p] {
-						t.Errorf("workers=%d prefix=%d: replayed snapshot differs from truncated run", workers, p)
 					}
 				}
 			}

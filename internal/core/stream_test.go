@@ -2,11 +2,49 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"cloudwatch/internal/netsim"
 )
+
+// TestStreamingSnapshotsMatchTruncatedRuns is the streaming
+// equivalence matrix: for every cell of equivalenceMatrix × generation
+// Workers 1/4/GOMAXPROCS, every epoch-prefix snapshot EpochSet.Snapshot
+// serves (the replay path for evicted prefixes) renders every table,
+// figure, and ablation byte-identically to a Run truncated to the same
+// window, and the final snapshot byte-identically to the full-week
+// run. The assembly chain the streaming engine ingests through is
+// checked against the same references in
+// TestIncrementalMatchesFromScratch.
+func TestStreamingSnapshotsMatchTruncatedRuns(t *testing.T) {
+	const epochs = 4
+	workersList := []int{1, 4, runtime.GOMAXPROCS(0)}
+
+	for _, cell := range equivalenceMatrix() {
+		t.Run(fmt.Sprintf("seed%d-year%d", cell.seed, cell.year), func(t *testing.T) {
+			wants := truncatedRunRenders(t, cell.seed, cell.year, epochs)
+			for _, workers := range workersList {
+				cfg := testConfig(cell.seed, cell.year)
+				cfg.Workers = workers
+				es, err := GenerateEpochs(cfg, epochs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 1; p <= epochs; p++ {
+					snap, err := es.Snapshot(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderAllAnalyses(snap); got != wants[p] {
+						t.Errorf("workers=%d prefix=%d: replayed snapshot differs from truncated run", workers, p)
+					}
+				}
+			}
+		})
+	}
+}
 
 // TestFinalSnapshotIsTheFullStudy deep-compares the final prefix
 // snapshot against the full-week run — records with their verdicts,
