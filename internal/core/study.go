@@ -75,10 +75,6 @@ func (c Config) population() scanners.Config {
 	return scanners.Config{Seed: c.Seed, Year: c.Year, Scale: c.Scale, Scenario: c.Scenario}
 }
 
-// figure1Ports are the telescope ports Figure 1 plots, in panel order:
-// the only ports whose collectors keep per-destination logs.
-var figure1Ports = []uint16{22, 445, 80, 17128}
-
 // Study is the outcome of one simulated collection week: everything
 // the analysis pipeline consumes.
 //

@@ -90,13 +90,13 @@ func TestStudyGreyNoiseSemantics(t *testing.T) {
 func TestStudyTelescopeSeesNoPayloadPorts(t *testing.T) {
 	s := runTestStudy(t, 42, 2021)
 	// Telnet sweeps make port 23 the busiest telescope port.
-	if s.Tel.UniqueSourceCount(23) == 0 {
+	if len(s.Tel.UniqueSources(23)) == 0 {
 		t.Error("telescope saw no telnet scanners")
 	}
-	if s.Tel.UniqueSourceCount(22) == 0 {
+	if len(s.Tel.UniqueSources(22)) == 0 {
 		t.Error("telescope saw no SSH scanners")
 	}
-	if s.Tel.UniqueSourceCount(445) == 0 {
+	if len(s.Tel.UniqueSources(445)) == 0 {
 		t.Error("telescope saw no SMB scanners")
 	}
 }

@@ -30,11 +30,13 @@ const (
 	segMagic = "CWEPOCHS"
 	// segVersion 2 added the scenario id to the layout frame; 3 dropped
 	// the per-sink GreyNoise observation sets from the epoch frames
-	// (labels derive from the records' verdicts). An older segment
-	// decodes as "nothing recovered": the reader regenerates
-	// deterministically and rewrites the segment in the current format,
-	// the same degradation path as a torn tail.
-	segVersion = 3
+	// (labels derive from the records' verdicts); 4 dropped each
+	// telescope collector's watched-port set and watch-log last pair
+	// (the watched ports are fixed, and the logs keep every pair). An
+	// older segment decodes as "nothing recovered": the reader
+	// regenerates deterministically and rewrites the segment in the
+	// current format, the same degradation path as a torn tail.
+	segVersion = 4
 
 	frameConfig = 1 // normalized study config JSON
 	frameDict   = 2 // payload interner dictionary

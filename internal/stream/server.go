@@ -79,7 +79,7 @@ type Server struct {
 	// before Handler is called (EnablePprof; the CLI's -pprof flag).
 	pprofOn bool
 
-	// renders caches rendered output per (prefix, experiment).
+	// renders caches rendered output per (engine, prefix, experiment).
 	renders *memo.Cache[renderKey, string]
 }
 
@@ -88,7 +88,11 @@ type Server struct {
 // next to a hostile or long-sweeping client.
 const renderCacheCap = 256
 
+// renderKey names one rendered output. The engine is part of the key
+// because SetEngine may replace it with another study's: the old
+// engine's entries then never hit again and age out of the LRU.
 type renderKey struct {
+	eng        *Engine
 	prefix     int
 	experiment string
 }
@@ -372,13 +376,13 @@ func (s *Server) handleSnapshot(eng *Engine, w http.ResponseWriter, r *http.Requ
 		return
 	}
 
-	// Singleflight per (prefix, experiment): the first request renders
-	// and concurrent requests for the same key wait for that one render
-	// instead of duplicating it. Only the request that actually
+	// Singleflight per (engine, prefix, experiment): the first request
+	// renders and concurrent requests for the same key wait for that one
+	// render instead of duplicating it. Only the request that actually
 	// rendered reports cached=false. The cache is LRU-bounded; an
 	// evicted key simply re-renders on its next request, and so does a
 	// key whose render panicked (its waiters answer 500).
-	out, how, err := s.renders.Get(renderKey{prefix, experiment}, func() (string, error) {
+	out, how, err := s.renders.Get(renderKey{eng, prefix, experiment}, func() (string, error) {
 		mRenderMisses.Inc()
 		out, _ := s.render(snap, experiment) // name validated above
 		return out, nil

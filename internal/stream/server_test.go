@@ -120,6 +120,42 @@ func TestServerSnapshotRenderAndCache(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/snapshot/x/table2", http.StatusBadRequest, &e)
 }
 
+// TestServerRenderCacheFollowsEngineSwap replaces a server's engine
+// with another seed's study: a render cached from the old engine must
+// not answer for the new one, so the response equals a fresh server's.
+func TestServerRenderCacheFollowsEngineSwap(t *testing.T) {
+	srv, ts := newTestServer(t)
+	if _, _, err := srv.Engine().IngestNext(); err != nil {
+		t.Fatal(err)
+	}
+	var old snapshotResponse
+	getJSON(t, ts.URL+"/v1/snapshot/1/table1", http.StatusOK, &old)
+
+	other, err := New(Config{Study: testStudyConfig(7, 2021), Epochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := other.IngestNext(); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetEngine(other)
+	var got snapshotResponse
+	getJSON(t, ts.URL+"/v1/snapshot/1/table1", http.StatusOK, &got)
+
+	fresh := NewServer(other)
+	fresh.SetLogger(nil)
+	fts := httptest.NewServer(fresh.Handler())
+	defer fts.Close()
+	var want snapshotResponse
+	getJSON(t, fts.URL+"/v1/snapshot/1/table1", http.StatusOK, &want)
+	if got != want {
+		t.Fatalf("after SetEngine the server answers %+v\nwant a fresh server's %+v", got, want)
+	}
+	if got.Output == old.Output {
+		t.Fatal("seeds 42 and 7 render the same table1; the check proves nothing")
+	}
+}
+
 func TestServerSweep(t *testing.T) {
 	srv, ts := newTestServer(t)
 	if err := srv.Engine().IngestAll(); err != nil {

@@ -9,24 +9,16 @@ import (
 	"cloudwatch/internal/wire"
 )
 
-// Serialization of a sealed collector for the durable epoch store.
-// Only aggregated state is persisted — the per-run observe caches are
-// transient and a restored collector is only ever merged and read,
-// never observed into, exactly like the sealed per-epoch collectors it
-// reconstructs. Deferred AS counts are flushed before encoding so the
-// tables are complete.
+// Serialization of a collector for the durable epoch store. A
+// collector is nothing but its aggregated state, so the decoded
+// collector equals the encoded one; the store only ever merges and
+// reads it, like the per-epoch collectors it reconstructs.
 
 // AppendBinary serializes the collector's aggregated state onto dst.
 // Every map is written in sorted key order, so the same state always
 // encodes to the same bytes.
 func (c *Collector) AppendBinary(dst []byte) []byte {
-	c.flushAS()
 	dst = wire.AppendU64(dst, uint64(c.packets))
-
-	dst = wire.AppendU32(dst, uint32(len(c.watch)))
-	for _, port := range slices.Sorted(maps.Keys(c.watch)) {
-		dst = wire.AppendU16(dst, port)
-	}
 
 	dst = wire.AppendU32(dst, uint32(len(c.srcsByPort)))
 	for _, port := range slices.Sorted(maps.Keys(c.srcsByPort)) {
@@ -55,32 +47,16 @@ func (c *Collector) AppendBinary(dst []byte) []byte {
 		dst = wire.AppendU16(dst, port)
 		dst = wire.AppendAddrs(dst, log.dst)
 		dst = wire.AppendAddrs(dst, log.src)
-		last := uint8(0)
-		if log.lastOK {
-			last = 1
-		}
-		dst = wire.AppendU8(dst, last)
-		dst = wire.AppendU32(dst, uint32(log.lastDst))
-		dst = wire.AppendU32(dst, uint32(log.lastSrc))
 	}
 	return dst
 }
 
-// DecodeCollector reads one serialized collector. The result is
-// sealed: safe to Merge from, Clone, and read, with the same
-// aggregated state the encoded collector held.
+// DecodeCollector reads one serialized collector: safe to Merge from,
+// Clone, and read, with the same aggregated state the encoded
+// collector held.
 func DecodeCollector(r *wire.BinReader) (*Collector, error) {
-	c := &Collector{
-		srcsByPort: map[uint16]map[wire.Addr]struct{}{},
-		asByPort:   map[uint16]stats.Freq{},
-		perAddr:    map[uint16]*watchLog{},
-		watch:      map[uint16]bool{},
-	}
+	c := New()
 	c.packets = int(r.U64())
-
-	for i, n := 0, r.Count(2); i < n; i++ {
-		c.watch[r.U16()] = true
-	}
 
 	for i, n := 0, r.Count(3); i < n; i++ {
 		port := r.U16()
@@ -116,9 +92,6 @@ func DecodeCollector(r *wire.BinReader) (*Collector, error) {
 			dst: r.Addrs(),
 			src: r.Addrs(),
 		}
-		log.lastOK = r.U8() == 1
-		log.lastDst = wire.Addr(r.U32())
-		log.lastSrc = wire.Addr(r.U32())
 		if len(log.dst) != len(log.src) {
 			return nil, fmt.Errorf("telescope: watch log columns disagree (%d dst vs %d src)", len(log.dst), len(log.src))
 		}

@@ -10,19 +10,18 @@ import (
 )
 
 func persistTestCollector() *Collector {
-	c := New(22, 80)
+	c := New()
 	probe := func(src, dst wire.Addr, port uint16, asn int) *netsim.Probe {
 		return &netsim.Probe{
 			T: netsim.StudyStart.Add(time.Hour), Src: src, Dst: dst,
 			Port: port, ASN: asn, Transport: wire.TCP,
 		}
 	}
-	c.ObserveRun(probe(1, 100, 22, 64500), true, true)
-	c.ObserveRun(probe(1, 101, 22, 64500), true, true)
-	c.ObserveRun(probe(2, 100, 22, 64501), true, true)
-	c.ObserveRun(probe(3, 200, 443, 64502), true, true) // unwatched port
-	c.ObserveRun(probe(4, 201, 80, 64502), true, true)
-	c.Flush()
+	c.Observe(probe(1, 100, 22, 64500))
+	c.Observe(probe(1, 101, 22, 64500))
+	c.Observe(probe(2, 100, 22, 64501))
+	c.Observe(probe(3, 200, 443, 64502)) // unwatched port
+	c.Observe(probe(4, 201, 80, 64502))
 	return c
 }
 
@@ -41,9 +40,6 @@ func TestCollectorBinaryRoundTrip(t *testing.T) {
 	if got.Packets() != c.Packets() {
 		t.Fatalf("packets %d != %d", got.Packets(), c.Packets())
 	}
-	if !reflect.DeepEqual(got.WatchedPorts(), c.WatchedPorts()) {
-		t.Fatalf("watched ports %v != %v", got.WatchedPorts(), c.WatchedPorts())
-	}
 	for _, port := range []uint16{22, 80, 443, 9999} {
 		if !reflect.DeepEqual(got.UniqueSources(port), c.UniqueSources(port)) {
 			t.Fatalf("port %d sources differ", port)
@@ -56,9 +52,9 @@ func TestCollectorBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("watch logs differ:\n%+v\nvs\n%+v", got.perAddr, c.perAddr)
 	}
 
-	// The decoded collector is sealed but fully functional: merging it
+	// The decoded collector is fully functional: merging it
 	// equals merging the original.
-	a, b := New(22, 80), New(22, 80)
+	a, b := New(), New()
 	a.Merge(c)
 	b.Merge(got)
 	if !reflect.DeepEqual(a.srcsByPort, b.srcsByPort) || !reflect.DeepEqual(a.asByPort, b.asByPort) {

@@ -1,6 +1,7 @@
 package telescope
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,20 +30,20 @@ func mkProbe(src, dst string, port uint16, asn int) *netsim.Probe {
 }
 
 func TestCollectorAggregation(t *testing.T) {
-	c := New(22)
-	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
-	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.6", 22, 4134), true, true) // same src, 2nd dst
-	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
-	c.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 80, 174), true, true) // unwatched port
+	c := New()
+	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
+	c.Observe(mkProbe("1.1.1.1", "100.64.0.6", 22, 4134)) // same src, 2nd dst
+	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
+	c.Observe(mkProbe("3.3.3.3", "100.64.1.9", 443, 174)) // unwatched port
 
 	if c.Packets() != 4 {
 		t.Errorf("packets = %d", c.Packets())
 	}
-	if c.UniqueSourceCount(22) != 2 {
-		t.Errorf("unique srcs port 22 = %d, want 2", c.UniqueSourceCount(22))
+	if len(c.UniqueSources(22)) != 2 {
+		t.Errorf("unique srcs port 22 = %d, want 2", len(c.UniqueSources(22)))
 	}
-	if c.UniqueSourceCount(80) != 1 {
-		t.Errorf("unique srcs port 80 = %d, want 1", c.UniqueSourceCount(80))
+	if len(c.UniqueSources(443)) != 1 {
+		t.Errorf("unique srcs port 443 = %d, want 1", len(c.UniqueSources(443)))
 	}
 	if len(c.AllSources()) != 3 {
 		t.Errorf("all srcs = %d, want 3", len(c.AllSources()))
@@ -53,14 +54,14 @@ func TestCollectorAggregation(t *testing.T) {
 	if got := c.ASFrequenciesAll().Total(); got != 4 {
 		t.Errorf("all-port AS total = %v, want 4", got)
 	}
-	if got := c.ASFrequencies(443); len(got) != 0 {
+	if got := c.ASFrequencies(8080); len(got) != 0 {
 		t.Errorf("unseen port should have empty AS table: %v", got)
 	}
 }
 
 func TestCollectorUnknownAS(t *testing.T) {
 	c := New()
-	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 999999), true, true)
+	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 999999))
 	if got := c.ASFrequencies(22)["unknown"]; got != 1 {
 		t.Errorf("unknown AS count = %v", got)
 	}
@@ -68,12 +69,13 @@ func TestCollectorUnknownAS(t *testing.T) {
 
 func TestPerAddressSeries(t *testing.T) {
 	u := telUniverse(t)
-	c := New(445)
+	c := New()
 	// Three distinct scanners on .5 of block 0; one on .9 of block 1.
-	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 445, 4134), true, true)
-	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134), true, true)
-	c.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134), true, true) // repeat: same src
-	c.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134), true, true)
+	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 445, 4134))
+	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134))
+	c.Observe(mkProbe("2.2.2.2", "100.64.0.5", 445, 4134)) // repeat: same src
+	c.Observe(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134))
+	c.Observe(mkProbe("3.3.3.3", "100.64.1.9", 443, 4134)) // unwatched port
 
 	series := c.PerAddressSeries(u, 445)
 	if len(series) != 512 {
@@ -88,25 +90,27 @@ func TestPerAddressSeries(t *testing.T) {
 	if series[0] != 0 {
 		t.Errorf("untouched address should be 0")
 	}
-	if got := c.PerAddressSeries(u, 80); got != nil {
+	if got := c.PerAddressSeries(u, 443); got != nil {
 		t.Errorf("unwatched port series = %v, want nil", got)
 	}
 }
 
+// TestRollingMedianWindow checks BlockMeans: one mean per complete,
+// non-overlapping block, and nothing for a block that does not fill.
 func TestRollingMedianWindow(t *testing.T) {
 	series := []int{1, 1, 1, 1, 9, 9, 9, 9}
-	got := RollingMedianWindow(series, 4)
+	got := BlockMeans(series, 4)
 	if len(got) != 2 || got[0] != 1 || got[1] != 9 {
 		t.Errorf("windows = %v, want [1 9]", got)
 	}
-	if got := RollingMedianWindow(series, 0); got != nil {
+	if got := BlockMeans(series, 0); got != nil {
 		t.Errorf("zero window = %v", got)
 	}
-	if got := RollingMedianWindow(nil, 4); got != nil {
+	if got := BlockMeans(nil, 4); got != nil {
 		t.Errorf("empty series = %v", got)
 	}
 	// Window larger than series: no complete window.
-	if got := RollingMedianWindow([]int{1, 2}, 4); len(got) != 0 {
+	if got := BlockMeans([]int{1, 2}, 4); len(got) != 0 {
 		t.Errorf("oversized window = %v", got)
 	}
 }
@@ -122,32 +126,32 @@ func TestCollectorMergeEquivalentToSerial(t *testing.T) {
 		mkProbe("1.1.1.1", "100.64.0.6", 22, 4134),
 		mkProbe("2.2.2.2", "100.64.0.5", 22, 174),
 		mkProbe("2.2.2.2", "100.64.1.9", 445, 174),
-		mkProbe("3.3.3.3", "100.64.1.9", 80, 999999), // unwatched, unknown AS
-		mkProbe("3.3.3.3", "100.64.0.5", 22, 4134),   // src seen by both shards
+		mkProbe("3.3.3.3", "100.64.1.9", 443, 999999), // unwatched, unknown AS
+		mkProbe("3.3.3.3", "100.64.0.5", 22, 4134),    // src seen by both shards
 	}
 
-	serial := New(22, 445)
+	serial := New()
 	for _, p := range probes {
-		serial.ObserveRun(p, true, true)
+		serial.Observe(p)
 	}
 
-	a, b := New(22, 445), New(22, 445)
+	a, b := New(), New()
 	for i, p := range probes {
 		if i%2 == 0 {
-			a.ObserveRun(p, true, true)
+			a.Observe(p)
 		} else {
-			b.ObserveRun(p, true, true)
+			b.Observe(p)
 		}
 	}
-	merged := New(22, 445)
+	merged := New()
 	merged.Merge(a)
 	merged.Merge(b)
 
 	if merged.Packets() != serial.Packets() {
 		t.Errorf("packets = %d, want %d", merged.Packets(), serial.Packets())
 	}
-	for _, port := range []uint16{22, 80, 445} {
-		if got, want := merged.UniqueSourceCount(port), serial.UniqueSourceCount(port); got != want {
+	for _, port := range []uint16{22, 443, 445} {
+		if got, want := len(merged.UniqueSources(port)), len(serial.UniqueSources(port)); got != want {
 			t.Errorf("port %d unique srcs = %d, want %d", port, got, want)
 		}
 		mf, sf := merged.ASFrequencies(port), serial.ASFrequencies(port)
@@ -179,36 +183,45 @@ func TestCollectorMergeEquivalentToSerial(t *testing.T) {
 // TestCollectorMergeIntoEmpty checks merging into a fresh collector
 // copies rather than aliases the source's maps.
 func TestCollectorMergeIntoEmpty(t *testing.T) {
-	a := New(22)
-	a.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
-	merged := New(22)
+	a := New()
+	a.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
+	merged := New()
 	merged.Merge(a)
-	merged.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
-	if a.UniqueSourceCount(22) != 1 {
-		t.Errorf("merge aliased source collector: %d srcs", a.UniqueSourceCount(22))
+	merged.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
+	if len(a.UniqueSources(22)) != 1 {
+		t.Errorf("merge aliased source collector: %d srcs", len(a.UniqueSources(22)))
 	}
-	if merged.UniqueSourceCount(22) != 2 {
-		t.Errorf("merged srcs = %d, want 2", merged.UniqueSourceCount(22))
+	if len(merged.UniqueSources(22)) != 2 {
+		t.Errorf("merged srcs = %d, want 2", len(merged.UniqueSources(22)))
 	}
 }
 
+// TestWatchedPorts checks that exactly WatchPorts, in Figure 1's panel
+// order, get per-destination series.
 func TestWatchedPorts(t *testing.T) {
-	c := New(445, 22, 17128)
-	got := c.WatchedPorts()
-	want := []uint16{22, 445, 17128}
-	if len(got) != 3 {
-		t.Fatalf("watched = %v", got)
+	if want := []uint16{22, 445, 80, 17128}; !slices.Equal(WatchPorts, want) {
+		t.Fatalf("WatchPorts = %v, want %v", WatchPorts, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("watched = %v, want %v", got, want)
+	u := telUniverse(t)
+	c := New()
+	ports := append([]uint16{23, 443, 8080}, WatchPorts...)
+	for _, port := range ports {
+		c.Observe(mkProbe("1.1.1.1", "100.64.0.5", port, 4134))
+	}
+	for _, port := range ports {
+		series := c.PerAddressSeries(u, port)
+		if watch := slices.Contains(WatchPorts, port); watch != (series != nil) {
+			t.Errorf("port %d: watched %v, series %v", port, watch, series != nil)
+		}
+		if series != nil && series[5] != 1 {
+			t.Errorf("port %d series[5] = %d, want 1", port, series[5])
 		}
 	}
 }
 
 func TestCollectorSelfMergeNoOp(t *testing.T) {
-	c := New(22)
-	c.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
+	c := New()
+	c.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
 	c.Merge(c)
 	if c.Packets() != 1 {
 		t.Errorf("self-merge changed packets: %d, want 1", c.Packets())
@@ -218,11 +231,11 @@ func TestCollectorSelfMergeNoOp(t *testing.T) {
 	}
 }
 
-// TestObserveCachesFlushOnReads checks the deferred AS-frequency run
-// counter: interleaved ports, ASNs, and repeated sources must produce
-// exactly the per-probe counts, whether read directly or after Merge.
+// TestObserveCachesFlushOnReads checks that interleaved ports, ASNs,
+// and repeated sources produce exactly the per-probe counts, whether
+// read directly or after Merge.
 func TestObserveCachesFlushOnReads(t *testing.T) {
-	c := New(22)
+	c := New()
 	probes := []*netsim.Probe{
 		mkProbe("10.0.0.1", "1.1.1.1", 22, 4134),
 		mkProbe("10.0.0.1", "1.1.1.1", 22, 4134),
@@ -233,7 +246,7 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 		mkProbe("10.0.0.1", "1.1.1.1", 22, 4134),
 	}
 	for _, p := range probes {
-		c.ObserveRun(p, true, true)
+		c.Observe(p)
 	}
 	f := c.ASFrequencies(22)
 	chinanet := netsim.MustAS(4134).Key()
@@ -244,17 +257,17 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 	if g := c.ASFrequencies(23); g[chinanet] != 1 {
 		t.Fatalf("port 23 AS counts = %v", g)
 	}
-	if c.UniqueSourceCount(22) != 2 || c.UniqueSourceCount(23) != 1 {
-		t.Fatalf("unique sources = %d/%d", c.UniqueSourceCount(22), c.UniqueSourceCount(23))
+	if len(c.UniqueSources(22)) != 2 || len(c.UniqueSources(23)) != 1 {
+		t.Fatalf("unique sources = %d/%d", len(c.UniqueSources(22)), len(c.UniqueSources(23)))
 	}
 
-	// Merge flushes pending runs on both sides.
-	a, b := New(22), New(22)
+	// Split across two collectors and merged.
+	a, b := New(), New()
 	for _, p := range probes[:3] {
-		a.ObserveRun(p, true, true)
+		a.Observe(p)
 	}
 	for _, p := range probes[3:] {
-		b.ObserveRun(p, true, true)
+		b.Observe(p)
 	}
 	a.Merge(b)
 	got := a.ASFrequencies(22)
@@ -269,16 +282,15 @@ func TestObserveCachesFlushOnReads(t *testing.T) {
 }
 
 // TestMergedCollectorConcurrentReads locks in the read-path contract:
-// frequency readers on a merged (never-observed) collector perform no
-// writes, so concurrent experiment fan-out is race-free (run under
-// -race).
+// the readers perform no writes, so concurrent experiment fan-out over
+// a merged collector is race-free (run under -race).
 func TestMergedCollectorConcurrentReads(t *testing.T) {
-	shard := New(22)
+	shard := New()
 	for i := 0; i < 50; i++ {
-		shard.ObserveRun(mkProbe("10.0.0.1", "1.1.1.1", 22, 4134), true, true)
-		shard.ObserveRun(mkProbe("10.0.0.2", "1.1.1.2", 23, 16276), true, true)
+		shard.Observe(mkProbe("10.0.0.1", "1.1.1.1", 22, 4134))
+		shard.Observe(mkProbe("10.0.0.2", "1.1.1.2", 23, 16276))
 	}
-	merged := New(22)
+	merged := New()
 	merged.Merge(shard)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -288,7 +300,7 @@ func TestMergedCollectorConcurrentReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				_ = merged.ASFrequencies(22)
 				_ = merged.ASFrequenciesAll()
-				_ = merged.UniqueSourceCount(23)
+				_ = len(merged.UniqueSources(23))
 			}
 		}()
 	}
@@ -300,24 +312,23 @@ func TestMergedCollectorConcurrentReads(t *testing.T) {
 
 // TestCollectorCloneIsolation checks the incremental-chain contract:
 // a clone carries the original's aggregated state exactly, and merging
-// new shards into the clone never mutates the sealed original — while
-// the shared watch-log columns keep extending append-style.
+// new shards into the clone never mutates the original — while the
+// shared watch-log columns keep extending append-style.
 func TestCollectorCloneIsolation(t *testing.T) {
 	u := telUniverse(t)
-	orig := New(22, 445)
-	orig.ObserveRun(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134), true, true)
-	orig.ObserveRun(mkProbe("2.2.2.2", "100.64.0.5", 22, 174), true, true)
-	orig.ObserveRun(mkProbe("2.2.2.2", "100.64.1.9", 445, 174), true, true)
-	orig.Flush()
+	orig := New()
+	orig.Observe(mkProbe("1.1.1.1", "100.64.0.5", 22, 4134))
+	orig.Observe(mkProbe("2.2.2.2", "100.64.0.5", 22, 174))
+	orig.Observe(mkProbe("2.2.2.2", "100.64.1.9", 445, 174))
 
 	clone := orig.Clone()
 	if clone.Packets() != orig.Packets() {
 		t.Fatalf("clone packets = %d, want %d", clone.Packets(), orig.Packets())
 	}
 	chinanet := netsim.MustAS(4134).Key()
-	if clone.UniqueSourceCount(22) != 2 || clone.ASFrequencies(22)[chinanet] != 1 {
+	if len(clone.UniqueSources(22)) != 2 || clone.ASFrequencies(22)[chinanet] != 1 {
 		t.Fatalf("clone lost aggregated state: %d srcs, AS table %v",
-			clone.UniqueSourceCount(22), clone.ASFrequencies(22))
+			len(clone.UniqueSources(22)), clone.ASFrequencies(22))
 	}
 	wantSeries := orig.PerAddressSeries(u, 22)
 	gotSeries := clone.PerAddressSeries(u, 22)
@@ -328,23 +339,23 @@ func TestCollectorCloneIsolation(t *testing.T) {
 	}
 
 	// Extend the clone with a new shard; the original must not move.
-	shard := New(22, 445)
-	shard.ObserveRun(mkProbe("3.3.3.3", "100.64.0.7", 22, 4134), true, true)
-	shard.ObserveRun(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134), true, true)
+	shard := New()
+	shard.Observe(mkProbe("3.3.3.3", "100.64.0.7", 22, 4134))
+	shard.Observe(mkProbe("3.3.3.3", "100.64.1.9", 445, 4134))
 	clone.Merge(shard)
 
 	if orig.Packets() != 3 || clone.Packets() != 5 {
 		t.Fatalf("packets after merge = orig %d / clone %d, want 3 / 5", orig.Packets(), clone.Packets())
 	}
-	if orig.UniqueSourceCount(22) != 2 || clone.UniqueSourceCount(22) != 3 {
+	if len(orig.UniqueSources(22)) != 2 || len(clone.UniqueSources(22)) != 3 {
 		t.Fatalf("port 22 srcs after merge = orig %d / clone %d, want 2 / 3",
-			orig.UniqueSourceCount(22), clone.UniqueSourceCount(22))
+			len(orig.UniqueSources(22)), len(clone.UniqueSources(22)))
 	}
 	if orig.ASFrequencies(22)[chinanet] != 1 || clone.ASFrequencies(22)[chinanet] != 2 {
 		t.Fatalf("AS counts after merge = orig %v / clone %v",
 			orig.ASFrequencies(22)[chinanet], clone.ASFrequencies(22)[chinanet])
 	}
-	// Figure 1 series: the clone sees the new destination, the sealed
+	// Figure 1 series: the clone sees the new destination, the
 	// original still renders its own window.
 	if s := orig.PerAddressSeries(u, 22); s[7] != 0 {
 		t.Fatalf("original series gained the clone's destination: %v", s[7])
